@@ -29,12 +29,13 @@
 //!   metrics fingerprints are byte-identical (the equivalence contract
 //!   of the cached hot path, including under ESS mobility).
 //! - `--shard-diff` — differential sharding mode: partition every
-//!   seed's deployment into interference shards and replay the
-//!   composition serially and under the windowed shard executor at 1,
-//!   2 and 4 workers, demanding byte-identical trace and metrics
+//!   seed's deployment into interference shards and run the
+//!   composition through the component executor at 1 worker and again
+//!   at 2 and 4 workers, demanding byte-identical trace and metrics
 //!   digests (DESIGN.md §15). Range runs additionally verify a
 //!   multi-shard CITY-DCF grid the generated scenarios cannot reach.
-//!   Non-medium kinds (Bluetooth/ZigBee/WiMAX) are skipped.
+//!   Single-component ESS worlds and non-medium kinds
+//!   (Bluetooth/ZigBee/WiMAX) are skipped.
 //! - `--grid-diff` — differential spatial-index mode: replay every
 //!   seed with the spatial grid index on (sparse neighbor rows,
 //!   grid-backed shard planning) and off (exhaustive dense scans) and
@@ -46,8 +47,9 @@
 //! - `--qos` — the EDCA/A-MPDU corpus (DESIGN.md §16): every seed maps
 //!   to a QoS WLAN world (mixed-AC traffic, aggregation on/off, OBSS
 //!   twin cells), each run oracle-checked through both scheduler back
-//!   ends, the neighbor cache on/off, and the windowed shard executor,
-//!   demanding byte-identical fingerprints throughout. The leg then
+//!   ends, the neighbor cache on/off, and the component executor at 1
+//!   vs 2 and 4 workers, demanding byte-identical fingerprints
+//!   throughout. The leg then
 //!   runs two gates: the AIFSN-swap fail-point self-test (the planted
 //!   AC_VO/AC_BK parameter swap must be caught by the
 //!   priority-inversion oracle and shrunk to a small repro) and the
@@ -64,6 +66,7 @@ use wn_check::{
     shrink, station_count, ScenarioGen, ShardDiffReport,
 };
 use wn_core::scenarios::{city_dcf_point, metro_dcf_planning_world, CITY_DCF_RANGE_M};
+use wn_mac80211::shard::ShardRunReport;
 use wn_sim::stats::fnv1a;
 use wn_sim::{worker_count, SchedulerKind, SimTime};
 
@@ -349,9 +352,26 @@ fn run_grid_diff(opts: &Options) -> u64 {
     failures
 }
 
-/// Prints one failing shard differential, dual-style: the serial
-/// reference digests against every diverging windowed execution, plus
-/// any partition-soundness failure.
+/// Prints a composition's 1-worker reference digest and every
+/// multi-worker run that diverged from it.
+fn print_worker_divergence(reference: &ShardRunReport, parallel: &[(usize, ShardRunReport)]) {
+    println!(
+        "  1 worker:   events={} trace_fnv={:016x} metrics_fnv={:016x}",
+        reference.events, reference.trace_fnv, reference.metrics_fnv
+    );
+    for (workers, r) in parallel {
+        if r != reference {
+            println!(
+                "  {workers} workers:  events={} trace_fnv={:016x} metrics_fnv={:016x}",
+                r.events, r.trace_fnv, r.metrics_fnv
+            );
+        }
+    }
+}
+
+/// Prints one failing shard differential, dual-style: the 1-worker
+/// reference digests against every diverging multi-worker execution,
+/// plus any partition-soundness failure.
 fn report_shard_divergence(r: &ShardDiffReport) {
     println!(
         "seed {}: SHARD DIVERGENCE  {} ({} shards)",
@@ -360,23 +380,12 @@ fn report_shard_divergence(r: &ShardDiffReport) {
     if let Some(why) = &r.incoherence {
         println!("  plan incoherent: {why}");
     }
-    println!(
-        "  serial:     events={} trace_fnv={:016x} metrics_fnv={:016x}",
-        r.serial.events, r.serial.trace_fnv, r.serial.metrics_fnv
-    );
-    for (workers, w) in &r.windowed {
-        if *w != r.serial {
-            println!(
-                "  {workers} worker(s): events={} trace_fnv={:016x} metrics_fnv={:016x}",
-                w.events, w.trace_fnv, w.metrics_fnv
-            );
-        }
-    }
+    print_worker_divergence(&r.reference, &r.parallel);
     println!("  repro: {} --shard-diff", repro_command(r.seed));
 }
 
 /// Differential sharding mode: every seed's deployment partitioned and
-/// replayed serial-vs-windowed; range runs add a fixed multi-shard
+/// run at 1 vs 2 and 4 workers; range runs add a fixed multi-shard
 /// CITY-DCF grid (12 cells on channels 1/6/11 — deeper than any
 /// generated scenario shards). Returns the number of failing seeds.
 fn run_shard_diff(opts: &Options) -> u64 {
@@ -384,20 +393,20 @@ fn run_shard_diff(opts: &Options) -> u64 {
     let mut failures = 0u64;
     if let Some(seed) = opts.single {
         match shard_diff_seed(seed) {
-            None => println!("seed {seed}: skip (no shared medium to partition)"),
+            None => println!("seed {seed}: skip (single component or no shared medium)"),
             Some(r) if r.divergent() => {
                 failures += 1;
                 report_shard_divergence(&r);
             }
             Some(r) => println!(
                 "seed {seed}: ok  {} ({} shards, {} events, trace_fnv={:016x})",
-                r.summary, r.shards, r.serial.events, r.serial.trace_fnv
+                r.summary, r.shards, r.reference.events, r.reference.trace_fnv
             ),
         }
         if failures > 0 {
             return failures;
         }
-        println!("shard-diff: seed {seed} byte-identical across {{serial, 1, 2, 4 workers}}");
+        println!("shard-diff: seed {seed} byte-identical across {{1, 2, 4 workers}}");
         return 0;
     }
 
@@ -421,8 +430,9 @@ fn run_shard_diff(opts: &Options) -> u64 {
 
     // The city leg: a grid the scenario generator cannot produce —
     // every cell its own shard, all worker counts, byte-identical.
-    let city = city_dcf_point(3, 4, 12, 60, 42);
-    if !city.byte_identical() {
+    let city = city_dcf_point(3, 4, 12, 60, 42, 1);
+    let parallel = [2, 4].map(|workers| (workers, city_dcf_point(3, 4, 12, 60, 42, workers).run));
+    if city.incoherence.is_some() || parallel.iter().any(|(_, r)| *r != city.run) {
         failures += 1;
         println!(
             "CITY-DCF grid: SHARD DIVERGENCE  {} cells -> {} shards{}",
@@ -433,22 +443,11 @@ fn run_shard_diff(opts: &Options) -> u64 {
                 .map(|w| format!("  (plan incoherent: {w})"))
                 .unwrap_or_default()
         );
-        println!(
-            "  serial:     events={} trace_fnv={:016x} metrics_fnv={:016x}",
-            city.serial.events, city.serial.trace_fnv, city.serial.metrics_fnv
-        );
-        for (workers, w) in &city.windowed {
-            if *w != city.serial {
-                println!(
-                    "  {workers} worker(s): events={} trace_fnv={:016x} metrics_fnv={:016x}",
-                    w.events, w.trace_fnv, w.metrics_fnv
-                );
-            }
-        }
+        print_worker_divergence(&city.run, &parallel);
     }
 
     println!(
-        "shard-diff fuzz: {} seeds ({}..{}) x {{serial, 1, 2, 4 workers}} + a {}-cell CITY-DCF grid on {} workers in {:.2}s: {} failing ({} run, {} multi-shard, {} skipped)",
+        "shard-diff fuzz: {} seeds ({}..{}) x {{1, 2, 4 workers}} + a {}-cell CITY-DCF grid on {} workers in {:.2}s: {} failing ({} run, {} multi-shard, {} skipped)",
         opts.count,
         opts.start,
         opts.start + opts.count,
@@ -464,8 +463,8 @@ fn run_shard_diff(opts: &Options) -> u64 {
 }
 
 /// The QoS corpus leg: oracle-checked EDCA/A-MPDU worlds across both
-/// scheduler back ends, the neighbor cache on/off and the windowed
-/// shard executor, then the AIFSN-swap self-test and the
+/// scheduler back ends, the neighbor cache on/off and the component
+/// executor at 1 vs 2 and 4 workers, then the AIFSN-swap self-test and the
 /// legacy-equivalence differential. Returns the number of failures.
 fn run_qos(opts: &Options) -> u64 {
     let (start, count) = match opts.single {
@@ -526,7 +525,7 @@ fn run_qos(opts: &Options) -> u64 {
         }
     }
 
-    // Leg 3: the windowed shard executor against the serial reference.
+    // Leg 3: the component executor at 2 and 4 workers against 1.
     let mut multi = 0u64;
     for r in shard_diff_range_gen(gen, start, count, opts.threads)
         .iter()

@@ -24,12 +24,12 @@
 //! payload-free through each queue (the isolated queue-cost
 //! comparison, since the full run is dominated by MAC/PHY compute).
 //!
-//! A `shards` section times the spatially-sharded executor on the
-//! CITY-DCF flagship city (one interference shard per BSS): the serial
-//! component composition against the windowed executor at 1, 2 and 4
-//! workers. Digests must be byte-identical in every mode; the speedup
-//! verdict is recorded only on multi-core hosts (a single-core box
-//! degenerates windowed to serial, see DESIGN.md §15).
+//! A `shards` section times the component executor on the CITY-DCF
+//! flagship city (one interference shard per BSS) at 1 worker and at
+//! the resolved worker count, interleaved, over several repeats each
+//! (median and min/max). Digests must be byte-identical in every run;
+//! the speedup verdict is recorded only when more than one worker is
+//! available (DESIGN.md §15).
 //!
 //! A `qos` section races A-MPDU aggregation on vs off on the saturated
 //! DENSE-OBSS flagship block: the same offered backlog through the
@@ -393,81 +393,81 @@ fn arena_section() -> String {
     )
 }
 
-/// Benchmarks the windowed shard executor against the serial component
-/// composition on the CITY-DCF flagship city and returns the
+/// Benchmarks the component executor on the CITY-DCF flagship city
+/// at 1 worker and at [`worker_count`] workers and returns the
 /// `"shards"` JSON object (indented two spaces, trailing newline).
-/// Every mode must produce byte-identical trace and metrics digests —
-/// that assertion always runs; the speedup number is recorded only
-/// when the host has ≥2 cores (otherwise `null`, with a verdict string
-/// saying why), mirroring the campaign-level speedup gate.
+/// Each timed run plans, builds and runs the whole city; the two
+/// worker counts alternate so host drift hits both alike. Every run
+/// must produce byte-identical trace and metrics digests — that
+/// assertion always runs; the speedup is recorded only when more than
+/// one worker is available (otherwise `null`, with a verdict string
+/// saying why).
 fn shards_section() -> String {
     const SEED: u64 = 42;
-    const WORKERS: [usize; 3] = [1, 2, 4];
+    const REPEATS: usize = 5;
     let (rows, cols, senders, duration_ms) = city_dcf_size();
     let cells = rows * cols;
     let stations = cells * (senders + 1);
+    let workers = worker_count();
+    let modes: Vec<usize> = if workers > 1 {
+        vec![1, workers]
+    } else {
+        vec![1]
+    };
 
-    eprintln!(
-        "perfsuite: CITY-DCF {cells} cells / {stations} stations, {duration_ms}ms: serial composition…"
-    );
-    let t0 = Instant::now();
-    let serial = city_dcf_run(rows, cols, senders, duration_ms, SEED, None);
-    let serial_s = t0.elapsed().as_secs_f64();
-    eprintln!(
-        "perfsuite: serial composition {serial_s:.3} s ({:.0} ev/s)",
-        serial.events as f64 / serial_s
-    );
-
-    let mut windowed = Vec::new();
-    for w in WORKERS {
-        eprintln!("perfsuite: CITY-DCF windowed shard executor, {w} worker(s)…");
-        let t0 = Instant::now();
-        let r = city_dcf_run(rows, cols, senders, duration_ms, SEED, Some(w));
-        let wall = t0.elapsed().as_secs_f64();
-        eprintln!(
-            "perfsuite: windowed x{w}: {wall:.3} s ({:.0} ev/s)",
-            r.events as f64 / wall
-        );
-        assert_eq!(
-            (r.events, r.trace_fnv, r.metrics_fnv),
-            (serial.events, serial.trace_fnv, serial.metrics_fnv),
-            "windowed shard executor at {w} worker(s) diverged from the serial composition"
-        );
-        windowed.push((w, wall, r));
+    let mut walls: Vec<Vec<f64>> = vec![Vec::with_capacity(REPEATS); modes.len()];
+    let mut reference = None;
+    for rep in 1..=REPEATS {
+        for (m, &w) in modes.iter().enumerate() {
+            let t0 = Instant::now();
+            let r = city_dcf_run(rows, cols, senders, duration_ms, SEED, w);
+            let wall = t0.elapsed().as_secs_f64();
+            eprintln!(
+                "perfsuite: CITY-DCF {cells} cells / {stations} stations, {w} worker(s), run {rep}/{REPEATS}: {wall:.3} s"
+            );
+            let reference = reference.get_or_insert_with(|| r.clone());
+            assert_eq!(
+                &r, reference,
+                "component executor at {w} worker(s) diverged from the first run"
+            );
+            walls[m].push(wall);
+        }
     }
+    let reference = reference.expect("at least one run");
 
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let best = windowed
-        .iter()
-        .map(|(_, wall, _)| *wall)
-        .fold(f64::INFINITY, f64::min);
-    let speedup_json = if cores < 2 {
-        "\"speedup\": null,\n    \"speedup_verdict\": \"skipped: single-core host, windowed executor degenerates to serial\"".to_string()
+    let medians: Vec<f64> = walls.iter_mut().map(|v| spread(v).0).collect();
+    let speedup_json = if modes.len() < 2 {
+        "\"speedup\": null,\n    \"speedup_verdict\": \"skipped: one worker available, nothing to compare\"".to_string()
     } else {
         format!(
-            "\"speedup\": {:.2},\n    \"speedup_verdict\": \"windowed best-of over serial on {cores} cores\"",
-            serial_s / best
+            "\"speedup\": {:.2},\n    \"speedup_verdict\": \"median 1-worker over median {workers}-worker wall time\"",
+            medians[0] / medians[1]
         )
     };
 
     let mut out = format!(
-        "  \"shards\": {{\n    \"workload\": \"CITY-DCF rows={rows} cols={cols} senders_per_cell={senders} duration_ms={duration_ms} seed={SEED} ({cells} cells, {stations} stations, one shard per cell)\",\n    \"serial\": {{ \"wall_s\": {serial_s:.3}, \"events\": {}, \"events_per_s\": {:.0} }},\n",
-        serial.events,
-        serial.events as f64 / serial_s,
+        "  \"shards\": {{\n    \"workload\": \"CITY-DCF rows={rows} cols={cols} senders_per_cell={senders} duration_ms={duration_ms} seed={SEED} ({cells} cells, {stations} stations, one shard per cell); each run plans, builds and runs the city\",\n    \"repeats\": {REPEATS},\n    \"events\": {},\n",
+        reference.events,
     );
-    for (w, wall, r) in &windowed {
+    for (w, v) in modes.iter().zip(walls.iter_mut()) {
+        let (median, min, max) = spread(v);
         out.push_str(&format!(
-            "    \"windowed_w{w}\": {{ \"wall_s\": {wall:.3}, \"events_per_s\": {:.0} }},\n",
-            r.events as f64 / wall,
+            "    \"w{w}\": {{ \"workers\": {w}, \"wall_s_median\": {median:.3}, \"wall_s_min\": {min:.3}, \"wall_s_max\": {max:.3}, \"events_per_s_median\": {:.0} }},\n",
+            reference.events as f64 / median,
         ));
     }
     out.push_str(&format!(
         "    \"trace_fnv\": \"{:016x}\",\n    \"metrics_fnv\": \"{:016x}\",\n    \"identical_output\": true,\n    {speedup_json}\n  }}\n",
-        serial.trace_fnv, serial.metrics_fnv,
+        reference.trace_fnv, reference.metrics_fnv,
     ));
     out
+}
+
+/// `(median, min, max)` of a non-empty sample (sorts it in place; the
+/// upper median for even lengths).
+fn spread(v: &mut [f64]) -> (f64, f64, f64) {
+    v.sort_by(f64::total_cmp);
+    (v[v.len() / 2], v[0], v[v.len() - 1])
 }
 
 /// Benchmarks A-MPDU aggregation on the saturated DENSE-OBSS flagship

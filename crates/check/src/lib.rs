@@ -46,7 +46,7 @@ pub use run::{
 pub use scenario::{Scenario, ScenarioGen, ScenarioKind};
 pub use shard::{
     component_seed, shard_diff_range, shard_diff_range_gen, shard_diff_scenario, shard_diff_seed,
-    ShardDiffReport, SHARD_WORKER_COUNTS,
+    ShardDiffReport,
 };
 pub use shrink::{shrink, station_count};
 

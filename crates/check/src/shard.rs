@@ -1,56 +1,40 @@
-//! The sharded-vs-serial differential harness (DESIGN.md §15).
+//! The shard-executor worker-count differential (DESIGN.md §15).
 //!
 //! A fuzz scenario's deployment is partitioned into interference
 //! shards ([`WlanWorld::shard_plan`]); each shard becomes its own
 //! component world, built by the *same* construction code the classic
-//! runner uses. The composition is then executed twice:
+//! runner uses. The composition is then executed by
+//! [`run_components`] at 1 worker (the serial reference) and again at
+//! 2 and 4 workers, digesting traces and metrics in shard order; the
+//! digests must be byte-identical — the same differential contract
+//! `--dual` enforces across scheduler back ends and `--cache-diff`
+//! across propagation paths. A single-component plan additionally
+//! bridges to the classic engine: its composition is the very same
+//! construction `run_scenario` executes, so the digests must equal
+//! the classic fingerprints too (verified by a unit test here, which
+//! also pins an ESS run in one `run_until` against the classic
+//! runner's sliced run).
 //!
-//! - **serial** — each component advanced straight to the horizon
-//!   with one `run_until`, one after another;
-//! - **windowed** — all components advanced in lockstep lookahead
-//!   windows on scoped threads (1, 2 and 4 workers), barrier between
-//!   windows ([`wn_mac80211::shard::run_components_windowed`]).
-//!
-//! Traces and metrics are digested in shard order in both modes, and
-//! the digests must be byte-identical — the same differential
-//! contract `--dual` enforces across scheduler back ends and
-//! `--cache-diff` across propagation paths. A single-component plan
-//! additionally bridges to the classic engine: its serial composition
-//! is the very same construction `run_scenario` executes, so the
-//! digests must equal the classic fingerprints too (verified by a
-//! unit test here).
-//!
-//! Non-WLAN scenario kinds (Bluetooth, ZigBee, WiMAX) have no shared
-//! medium to partition and are skipped ([`shard_diff_seed`] returns
-//! `None`).
+//! ESS scenarios are always one component (see `build_ess_sim`), so
+//! there is nothing to spread across workers, and non-WLAN kinds
+//! (Bluetooth, ZigBee, WiMAX) have no shared medium to partition:
+//! [`shard_diff_seed`] returns `None` for both.
 
 use crate::run::{
-    build_ess_sim, data_frame, wlan_ac_of, wlan_config, wlan_sink_of, wlan_station_pos, CheckUpper,
-    TRACE_CAPACITY,
+    data_frame, wlan_ac_of, wlan_config, wlan_sink_of, wlan_station_pos, CheckUpper, TRACE_CAPACITY,
 };
-use crate::scenario::{EssScenario, Scenario, ScenarioGen, ScenarioKind, WlanScenario};
+use crate::scenario::{Scenario, ScenarioGen, ScenarioKind, WlanScenario};
 use std::sync::{Arc, Mutex};
 use wn_mac80211::addr::MacAddr;
-use wn_mac80211::shard::{
-    executor_window, run_components_serial, run_components_windowed, ShardRunReport,
-};
+use wn_mac80211::shard::{run_components, ShardRunReport};
 use wn_mac80211::sim::{boot as wlan_boot, inject_at, qos_inject_at, WlanWorld};
 use wn_sim::par::par_map_with;
 use wn_sim::trace::Trace;
-use wn_sim::{SchedulerKind, SimDuration, SimTime, Simulation};
-
-/// The shard-executor worker counts every differential point runs
-/// under — the "1, 2 and 4 shard configurations" of the contract.
-pub const SHARD_WORKER_COUNTS: [usize; 3] = [1, 2, 4];
-
-/// Smallest executor window the harness batches the lookahead up to
-/// (barrier crossings are pure overhead; see DESIGN.md §15 for why
-/// batching above the raw lookahead is sound here).
-const WINDOW_FLOOR: SimDuration = SimDuration::from_micros(64);
+use wn_sim::{SimTime, Simulation};
 
 pub use wn_mac80211::shard::component_seed;
 
-/// One seed's sharded-vs-serial differential outcome.
+/// One seed's worker-count differential outcome.
 pub struct ShardDiffReport {
     /// The seed.
     pub seed: u64,
@@ -60,21 +44,20 @@ pub struct ShardDiffReport {
     pub kind: &'static str,
     /// Number of shards the deployment partitioned into.
     pub shards: usize,
-    /// The serial (reference) composition.
-    pub serial: ShardRunReport,
-    /// The windowed compositions, one per entry of
-    /// [`SHARD_WORKER_COUNTS`].
-    pub windowed: Vec<(usize, ShardRunReport)>,
+    /// The composition run on 1 worker (the serial reference).
+    pub reference: ShardRunReport,
+    /// The same composition on 2 and 4 workers.
+    pub parallel: Vec<(usize, ShardRunReport)>,
     /// A partition-soundness failure on the planning world, if any
     /// (`None` = the plan validates).
     pub incoherence: Option<String>,
 }
 
 impl ShardDiffReport {
-    /// Whether any windowed execution diverged from the serial
+    /// Whether any multi-worker execution diverged from the 1-worker
     /// reference, or the plan failed validation.
     pub fn divergent(&self) -> bool {
-        self.incoherence.is_some() || self.windowed.iter().any(|(_, r)| *r != self.serial)
+        self.incoherence.is_some() || self.parallel.iter().any(|(_, r)| *r != self.reference)
     }
 }
 
@@ -156,76 +139,36 @@ fn shard_diff_wlan(sc: &Scenario, w: &WlanScenario) -> ShardDiffReport {
         .map(|i| i.to_string());
 
     let horizon = SimTime::from_millis(w.duration_ms);
-    let window = executor_window(&plan, horizon, WINDOW_FLOOR);
-    let build = |k: usize| build_wlan_component(sc.seed, w, &plan.shards[k], k);
-    let serial = run_components_serial(plan.shard_count(), horizon, "fuzz", build);
-    let windowed = SHARD_WORKER_COUNTS
-        .iter()
-        .map(|&workers| {
-            (
-                workers,
-                run_components_windowed(
-                    plan.shard_count(),
-                    horizon,
-                    window,
-                    workers,
-                    "fuzz",
-                    build,
-                ),
-            )
+    let run = |workers: usize| {
+        run_components(plan.shard_count(), horizon, workers, "fuzz", |k| {
+            build_wlan_component(sc.seed, w, &plan.shards[k], k)
         })
-        .collect();
+        .1
+    };
     ShardDiffReport {
         seed: sc.seed,
         summary: sc.summary(),
         kind: sc.kind_tag(),
         shards: plan.shard_count(),
-        serial,
-        windowed,
+        reference: run(1),
+        parallel: [2, 4].map(|workers| (workers, run(workers))).to_vec(),
         incoherence,
     }
 }
 
-fn shard_diff_ess(sc: &Scenario, e: &EssScenario) -> ShardDiffReport {
-    // An ESS is one shard (see `build_ess_sim`), so the differential
-    // degenerates to single-run_until vs windowed-run_until over the
-    // identical world — which is precisely the slicing-invariance leg
-    // of the contract, with the thread hand-off exercised on top.
-    let horizon = SimTime::from_secs(e.duration_s);
-    let window = SimDuration::from_nanos((horizon.as_nanos() / 8).max(1));
-    let build = |_k: usize| build_ess_sim(sc.seed, e, SchedulerKind::default(), true);
-    let serial = run_components_serial(1, horizon, "fuzz", build);
-    let windowed = SHARD_WORKER_COUNTS
-        .iter()
-        .map(|&workers| {
-            (
-                workers,
-                run_components_windowed(1, horizon, window, workers, "fuzz", build),
-            )
-        })
-        .collect();
-    ShardDiffReport {
-        seed: sc.seed,
-        summary: sc.summary(),
-        kind: sc.kind_tag(),
-        shards: 1,
-        serial,
-        windowed,
-        incoherence: None,
-    }
-}
-
-/// Runs the sharded-vs-serial differential for one explicit scenario;
-/// `None` for kinds without a shared medium to partition.
+/// Runs the worker-count differential for one explicit scenario;
+/// `None` for kinds that are never more than one component.
 pub fn shard_diff_scenario(sc: &Scenario) -> Option<ShardDiffReport> {
     match &sc.kind {
         ScenarioKind::Wlan(w) => Some(shard_diff_wlan(sc, w)),
-        ScenarioKind::Ess(e) => Some(shard_diff_ess(sc, e)),
-        ScenarioKind::Bluetooth(_) | ScenarioKind::Zigbee(_) | ScenarioKind::Wman(_) => None,
+        ScenarioKind::Ess(_)
+        | ScenarioKind::Bluetooth(_)
+        | ScenarioKind::Zigbee(_)
+        | ScenarioKind::Wman(_) => None,
     }
 }
 
-/// Generates the scenario for `seed` and runs the sharded-vs-serial
+/// Generates the scenario for `seed` and runs the worker-count
 /// differential on it.
 pub fn shard_diff_seed(seed: u64) -> Option<ShardDiffReport> {
     shard_diff_scenario(&ScenarioGen::default().scenario(seed))
@@ -257,8 +200,9 @@ pub fn shard_diff_range_gen(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run::check_seed;
+    use crate::run::{build_ess_sim, check_seed};
     use wn_sim::stats::fnv1a;
+    use wn_sim::SchedulerKind;
 
     fn first_seed_of_kind(kind: &str, pred: impl Fn(&Scenario) -> bool) -> (u64, Scenario) {
         for seed in 0..500 {
@@ -273,7 +217,10 @@ mod tests {
     /// The bridge to the classic engine: a flat WLAN without the
     /// deaf-sink fault is one conflict component, so its "sharded"
     /// composition is the identical construction `run_scenario`
-    /// executes — fingerprints must match exactly.
+    /// executes — fingerprints must match exactly. ESS scenarios
+    /// (with and without a walking station) bridge the same way, and
+    /// pin slicing invariance on top: the classic runner advances in
+    /// its ledger slices, the composition in one `run_until`.
     #[test]
     fn single_shard_composition_equals_classic_run() {
         let (seed, sc) = first_seed_of_kind("wlan", |sc| match &sc.kind {
@@ -283,14 +230,35 @@ mod tests {
         let diff = shard_diff_scenario(&sc).expect("wlan shards");
         assert_eq!(diff.shards, 1, "non-deaf flat WLAN must be one shard");
         let classic = check_seed(seed);
-        assert_eq!(diff.serial.trace_fnv, classic.trace_fnv);
-        assert_eq!(diff.serial.metrics_fnv, classic.metrics_fnv);
+        assert_eq!(diff.reference.trace_fnv, classic.trace_fnv);
+        assert_eq!(diff.reference.metrics_fnv, classic.metrics_fnv);
         assert!(!diff.divergent());
+
+        for walker in [false, true] {
+            let (seed, sc) = first_seed_of_kind("ess", |sc| match &sc.kind {
+                ScenarioKind::Ess(e) => e.walker == walker,
+                _ => false,
+            });
+            let ScenarioKind::Ess(e) = &sc.kind else {
+                unreachable!("picked an ess scenario")
+            };
+            let horizon = SimTime::from_secs(e.duration_s);
+            let (_, composed) = run_components(1, horizon, 1, "fuzz", |_| {
+                build_ess_sim(seed, e, SchedulerKind::default(), true)
+            });
+            let classic = check_seed(seed);
+            assert!(composed.events > 0, "ess seed {seed} must run");
+            assert_eq!(
+                (composed.trace_fnv, composed.metrics_fnv),
+                (classic.trace_fnv, classic.metrics_fnv),
+                "ess seed {seed} (walker {walker}): one run_until diverged from the sliced run"
+            );
+        }
     }
 
     /// The deaf-sink fault parks the sink on an orthogonal channel,
-    /// which must split it into its own shard — and the windowed
-    /// executions must still be byte-identical to serial.
+    /// which must split it into its own shard — and the 2- and
+    /// 4-worker executions must still be byte-identical to 1 worker.
     #[test]
     fn deaf_sink_splits_and_stays_identical() {
         let (_seed, sc) = first_seed_of_kind("wlan", |sc| match &sc.kind {
@@ -299,27 +267,24 @@ mod tests {
         });
         let diff = shard_diff_scenario(&sc).expect("wlan shards");
         assert_eq!(diff.shards, 2, "deaf sink must shard off: {}", diff.summary);
+        assert_eq!(
+            diff.parallel.iter().map(|(w, _)| *w).collect::<Vec<_>>(),
+            vec![2, 4]
+        );
         assert!(!diff.divergent());
-        // The digests are over non-empty content in every mode.
-        assert!(diff.serial.events > 0);
-        assert_ne!(diff.serial.trace_fnv, fnv1a(b""));
+        // The digests are over non-empty content.
+        assert!(diff.reference.events > 0);
+        assert_ne!(diff.reference.trace_fnv, fnv1a(b""));
     }
 
-    /// ESS scenarios pin to a single shard but still exercise the
-    /// windowed executor against the straight run.
+    /// Single-component and non-medium kinds are skipped, not
+    /// zero-filled.
     #[test]
-    fn ess_windowed_matches_serial() {
-        let (_seed, sc) = first_seed_of_kind("ess", |_| true);
-        let diff = shard_diff_scenario(&sc).expect("ess shards");
-        assert_eq!(diff.shards, 1);
-        assert!(!diff.divergent());
-    }
-
-    /// Non-medium kinds are skipped, not zero-filled.
-    #[test]
-    fn non_wlan_kinds_are_skipped() {
-        let (_seed, sc) = first_seed_of_kind("bt", |_| true);
-        assert!(shard_diff_scenario(&sc).is_none());
+    fn ess_and_non_wlan_kinds_are_skipped() {
+        for kind in ["ess", "bt"] {
+            let (_seed, sc) = first_seed_of_kind(kind, |_| true);
+            assert!(shard_diff_scenario(&sc).is_none(), "{kind}");
+        }
     }
 
     #[test]

@@ -221,13 +221,13 @@ fn run_city_dcf() -> ExperimentOutput {
     let mut md = format!("{}\n", r.to_markdown());
     let _ = writeln!(
         md,
-        "| cells | stations | senders/cell | horizon [ms] | shards | lookahead [ns] | per-sender [kbps] | aggregate [Mbps] | cross-BSS Jain | byte-identical |"
+        "| cells | stations | senders/cell | horizon [ms] | shards | lookahead [ns] | per-sender [kbps] | aggregate [Mbps] | cross-BSS Jain |"
     );
-    let _ = writeln!(md, "|---|---|---|---|---|---|---|---|---|---|");
+    let _ = writeln!(md, "|---|---|---|---|---|---|---|---|---|");
     for p in &points {
         let _ = writeln!(
             md,
-            "| {} | {} | {} | {} | {} | {} | {:.1} | {:.2} | {:.4} | {} |",
+            "| {} | {} | {} | {} | {} | {} | {:.1} | {:.2} | {:.4} |",
             p.cells,
             p.stations,
             p.senders_per_cell,
@@ -237,16 +237,16 @@ fn run_city_dcf() -> ExperimentOutput {
             p.per_station_kbps,
             p.aggregate_mbps,
             p.jain_cross_bss,
-            if p.byte_identical() { "yes" } else { "NO" },
         );
     }
     let _ = writeln!(md);
     let _ = writeln!(
         md,
         "Each cell is an independent interference shard (channels 1/6/11, \
-         200 m street grid); every row ran serially and under the windowed \
-         shard executor at 1/2/4 workers with byte-identical trace and \
-         metrics digests (DESIGN.md §15). Shard-executor wall-clock: see \
+         200 m street grid); every row ran once through the component \
+         executor, whose trace and metrics digests do not depend on its \
+         worker count (pinned by `tests/city_dcf.rs` and `fuzz \
+         --shard-diff`; DESIGN.md §15). Shard-executor wall-clock: see \
          `BENCH_campaign.json` (`shards` section).\n"
     );
     ExperimentOutput {
@@ -264,13 +264,13 @@ fn run_metro_dcf() -> ExperimentOutput {
     // `BENCH_campaign.json` (`grid` section).
     let _ = writeln!(
         md,
-        "| cells | stations | senders/cell | horizon [ms] | shards | sparse/dense pairs | byte-identical |"
+        "| cells | stations | senders/cell | horizon [ms] | shards | sparse/dense pairs |"
     );
-    let _ = writeln!(md, "|---|---|---|---|---|---|---|");
+    let _ = writeln!(md, "|---|---|---|---|---|---|");
     for p in &points {
         let _ = writeln!(
             md,
-            "| {} | {} | {} | {} | {} | {} | {} |",
+            "| {} | {} | {} | {} | {} | {} |",
             p.cells,
             p.stations,
             p.senders_per_cell,
@@ -279,7 +279,6 @@ fn run_metro_dcf() -> ExperimentOutput {
             p.stored_entries
                 .map(|s| format!("{s}/{}", p.dense_entries()))
                 .unwrap_or_else(|| "-".into()),
-            if p.byte_identical() { "yes" } else { "NO" },
         );
     }
     let _ = writeln!(md);
@@ -288,10 +287,9 @@ fn run_metro_dcf() -> ExperimentOutput {
         "The CITY-DCF street grid swept to 100k+ stations. Planning and \
          neighbor-cache construction run on the spatial hash grid \
          (O(n·k) 27-cell neighborhood scans instead of O(n²) pair \
-         scans; DESIGN.md §17), and each point still runs serially and \
-         under the windowed shard executor with byte-identical digests. \
-         Grid-vs-exhaustive wall-clock: see `BENCH_campaign.json` \
-         (`grid` section).\n"
+         scans; DESIGN.md §17), and each point runs once through the \
+         component executor. Grid-vs-exhaustive wall-clock: see \
+         `BENCH_campaign.json` (`grid` section).\n"
     );
     ExperimentOutput {
         id: "METRO-DCF",

@@ -9,8 +9,7 @@ use crate::registry::Technology;
 use wn_mac80211::addr::MacAddr;
 use wn_mac80211::frame::{DsBits, Frame, SequenceControl};
 use wn_mac80211::shard::{
-    component_seed, digest_components, executor_window, propagation_delay, run_components_serial,
-    run_components_windowed, ShardRunReport,
+    component_seed, propagation_delay, run_components, ShardPlan, ShardRunReport,
 };
 use wn_mac80211::sim::{
     boot, inject_at, qos_inject_at, AccessCategory, MacConfig, NullUpper, WlanWorld,
@@ -22,7 +21,7 @@ use wn_phy::medium::{LinkBudget, Radio};
 use wn_phy::modulation::PhyStandard;
 use wn_phy::propagation::{LogDistance, Shadowing};
 use wn_sim::stats::Figure;
-use wn_sim::{par_map, SchedulerKind, SimDuration, SimTime, Simulation};
+use wn_sim::{par_map, worker_count, SchedulerKind, SimDuration, SimTime, Simulation};
 
 /// FIG-1.1 — the classification scatter: nominal range vs peak rate
 /// per technology, measured.
@@ -1553,7 +1552,7 @@ fn scale_dcf_load(
 /// boot, so every pop in the stream has a matching recorded push.
 pub fn scale_dcf_op_log(stations: usize, duration_ms: u64, seed: u64) -> Vec<u128> {
     let (world, frames_per_sender) = scale_dcf_world(stations, duration_ms, seed);
-    let mut sim = Simulation::with_scheduler(world, SchedulerKind::BinaryHeap);
+    let mut sim = Simulation::new(world);
     sim.scheduler_mut().record_ops();
     scale_dcf_load(&mut sim, stations, duration_ms, frames_per_sender);
     sim.run_until(SimTime::from_millis(duration_ms));
@@ -1667,7 +1666,7 @@ pub fn scale_dcf_sweep() -> Vec<(usize, u64)> {
 /// ends on a mid-size point.
 pub fn scale_dcf(seed: u64) -> (Vec<ScaleDcfPoint>, ExperimentReport) {
     let points: Vec<ScaleDcfPoint> = par_map(scale_dcf_sweep(), |(n, d)| {
-        scale_dcf_point(n, d, seed, SchedulerKind::BinaryHeap)
+        scale_dcf_point(n, d, seed, SchedulerKind::default())
     });
     // The differential run: both back ends on one mid-size point.
     let (n_mid, d_mid) = if cfg!(debug_assertions) {
@@ -1725,9 +1724,8 @@ pub fn scale_dcf(seed: u64) -> (Vec<ScaleDcfPoint>, ExperimentReport) {
 // 1/6/11 (colored so no two co-channel cells are closer than 200·√2 m),
 // one sink plus a sender ring per cell. The deployment partitions into
 // one interference shard per cell (`WlanWorld::shard_plan` with the
-// 250 m co-channel radius), and every point runs the composition twice
-// — serial reference vs the windowed shard executor at 1/2/4 workers —
-// and demands byte-identical digests (DESIGN.md §15).
+// 250 m co-channel radius), and every point runs the composition once
+// through the component executor (DESIGN.md §15).
 // ---------------------------------------------------------------------
 
 /// Street-grid spacing between neighbouring cell centres [m].
@@ -1746,17 +1744,8 @@ pub const CITY_DCF_CHANNELS: [u8; 3] = [1, 6, 11];
 /// same-channel stations are treated as non-interfering.
 pub const CITY_DCF_RANGE_M: f64 = 250.0;
 
-/// Shard-executor worker counts every CITY-DCF point is verified at.
-pub const CITY_DCF_WORKER_COUNTS: [usize; 3] = [1, 2, 4];
-
-/// Smallest executor window the point batches the lookahead up to —
-/// same rationale as the fuzz harness (barrier crossings are pure
-/// overhead; batching is sound because shards are exactly decoupled).
-const CITY_DCF_WINDOW_FLOOR: SimDuration = SimDuration::from_micros(64);
-
-/// One CITY-DCF point: the city's shard partition plus the
-/// serial-vs-windowed differential outcome and the usual saturation
-/// observables, reduced cross-BSS.
+/// One CITY-DCF point: the city's shard partition, the composition's
+/// digest and the usual saturation observables, reduced cross-BSS.
 pub struct CityDcfPoint {
     /// Grid cells (= BSSes).
     pub cells: usize,
@@ -1770,8 +1759,6 @@ pub struct CityDcfPoint {
     pub shards: usize,
     /// The plan's conservative cross-shard lookahead.
     pub lookahead: SimDuration,
-    /// The executor window actually used.
-    pub window: SimDuration,
     /// Mean per-sender delivered goodput [kbps].
     pub per_station_kbps: f64,
     /// Aggregate delivered goodput [Mbps].
@@ -1783,18 +1770,8 @@ pub struct CityDcfPoint {
     pub saturated: bool,
     /// Partition-soundness failure on the planning world, if any.
     pub incoherence: Option<String>,
-    /// The serial (reference) composition.
-    pub serial: ShardRunReport,
-    /// Windowed compositions, one per [`CITY_DCF_WORKER_COUNTS`] entry.
-    pub windowed: Vec<(usize, ShardRunReport)>,
-}
-
-impl CityDcfPoint {
-    /// Whether every windowed execution matched the serial reference
-    /// byte-for-byte and the plan validated.
-    pub fn byte_identical(&self) -> bool {
-        self.incoherence.is_none() && self.windowed.iter().all(|(_, r)| *r == self.serial)
-    }
+    /// The composition's digest.
+    pub run: ShardRunReport,
 }
 
 /// The channel of grid cell `cell` in a `cols`-wide grid.
@@ -1912,17 +1889,37 @@ fn city_dcf_component(
     sim
 }
 
-/// Runs one CITY-DCF point: plan the partition on the full planning
-/// world, execute the composition serially (keeping the component
-/// worlds for per-BSS observables), then re-execute under the
-/// windowed shard executor at each worker count and digest everything
-/// in shard order for the byte-identity comparison.
+/// Builds and runs the city's component worlds, one per shard of
+/// `plan`, on `workers` threads through [`run_components`].
+fn city_dcf_components(
+    plan: &ShardPlan,
+    cols: usize,
+    senders: usize,
+    duration_ms: u64,
+    seed: u64,
+    workers: usize,
+    tag: &str,
+) -> (Vec<Simulation<WlanWorld>>, ShardRunReport) {
+    run_components(
+        plan.shard_count(),
+        SimTime::from_millis(duration_ms),
+        workers,
+        tag,
+        |k| city_dcf_component(&plan.shards[k], k, cols, senders, duration_ms, seed),
+    )
+}
+
+/// Runs one CITY-DCF point on `workers` component-executor threads:
+/// plan the partition on the full planning world, validate it, run the
+/// composition, and reduce the run component worlds to per-BSS
+/// observables. The worker count never changes the result.
 pub fn city_dcf_point(
     rows: usize,
     cols: usize,
     senders: usize,
     duration_ms: u64,
     seed: u64,
+    workers: usize,
 ) -> CityDcfPoint {
     let cells = rows * cols;
     let per_cell = senders + 1;
@@ -1934,14 +1931,8 @@ pub fn city_dcf_point(
     drop(planning);
 
     let horizon = SimTime::from_millis(duration_ms);
-    let window = executor_window(&plan, horizon, CITY_DCF_WINDOW_FLOOR);
-    let build = |k: usize| city_dcf_component(&plan.shards[k], k, cols, senders, duration_ms, seed);
-
-    // Serial reference, run by hand so the component worlds stay
-    // available for the cross-BSS reduction below.
-    let mut sims: Vec<Simulation<WlanWorld>> = (0..plan.shard_count()).map(build).collect();
-    let per_shard_events: Vec<u64> = sims.iter_mut().map(|s| s.run_until(horizon)).collect();
-    let serial = digest_components(&sims, per_shard_events, horizon, "CITY-DCF");
+    let (sims, run) =
+        city_dcf_components(&plan, cols, senders, duration_ms, seed, workers, "CITY-DCF");
 
     // Per-BSS completions and the queue-conservation saturation check,
     // reduced over every component's metrics snapshot.
@@ -1974,23 +1965,6 @@ pub fn city_dcf_point(
     }
     drop(sims);
 
-    let windowed = CITY_DCF_WORKER_COUNTS
-        .iter()
-        .map(|&workers| {
-            (
-                workers,
-                run_components_windowed(
-                    plan.shard_count(),
-                    horizon,
-                    window,
-                    workers,
-                    "CITY-DCF",
-                    build,
-                ),
-            )
-        })
-        .collect();
-
     let total: u64 = cell_completions.iter().sum();
     let sum_sq: f64 = cell_completions
         .iter()
@@ -2011,42 +1985,31 @@ pub fn city_dcf_point(
         duration_ms,
         shards: plan.shard_count(),
         lookahead: plan.lookahead,
-        window,
         per_station_kbps: goodput_bits / duration_s / all_senders / 1_000.0,
         aggregate_mbps: goodput_bits / duration_s / 1e6,
         jain_cross_bss,
         saturated,
         incoherence,
-        serial,
-        windowed,
+        run,
     }
 }
 
-/// Runs the city once under a single executor mode — `None` = serial
-/// reference, `Some(workers)` = windowed shard executor — and returns
-/// the digest report. The perfsuite `shards` section times these
-/// calls individually (plan + build + run each time, so the modes pay
-/// identical setup cost) and asserts the digests agree.
+/// Plans the city and runs its composition on `workers` threads,
+/// returning only the digest: the executor cost without the point's
+/// plan validation and per-BSS reduction. The perfsuite `shards`
+/// section times these calls.
 pub fn city_dcf_run(
     rows: usize,
     cols: usize,
     senders: usize,
     duration_ms: u64,
     seed: u64,
-    workers: Option<usize>,
+    workers: usize,
 ) -> ShardRunReport {
     let planning = city_dcf_planning_world(rows, cols, senders, duration_ms, seed);
     let plan = planning.shard_plan(SimTime::ZERO, Some(CITY_DCF_RANGE_M));
     drop(planning);
-    let horizon = SimTime::from_millis(duration_ms);
-    let build = |k: usize| city_dcf_component(&plan.shards[k], k, cols, senders, duration_ms, seed);
-    match workers {
-        None => run_components_serial(plan.shard_count(), horizon, "CITY-DCF", build),
-        Some(w) => {
-            let window = executor_window(&plan, horizon, CITY_DCF_WINDOW_FLOOR);
-            run_components_windowed(plan.shard_count(), horizon, window, w, "CITY-DCF", build)
-        }
-    }
+    city_dcf_components(&plan, cols, senders, duration_ms, seed, workers, "CITY-DCF").1
 }
 
 /// The flagship city size `(rows, cols, senders_per_cell,
@@ -2073,18 +2036,27 @@ pub fn city_dcf_collapse_sweep() -> (usize, usize, Vec<usize>, u64) {
     }
 }
 
-/// CITY-DCF — the city-scale shard differential plus the cross-BSS
+/// CITY-DCF — the city-scale shard partition plus the cross-BSS
 /// fairness and densification-collapse claims, as an experiment
-/// report. Returns the collapse sweep points with the flagship city
+/// report. Every point runs once, on [`worker_count`] executor
+/// threads. Returns the collapse sweep points with the flagship city
 /// last.
 pub fn city_dcf(seed: u64) -> (Vec<CityDcfPoint>, ExperimentReport) {
+    let workers = worker_count();
     let (s_rows, s_cols, sweep, s_dur) = city_dcf_collapse_sweep();
     let mut points: Vec<CityDcfPoint> = sweep
         .iter()
-        .map(|&n| city_dcf_point(s_rows, s_cols, n, s_dur, seed))
+        .map(|&n| city_dcf_point(s_rows, s_cols, n, s_dur, seed, workers))
         .collect();
     let (rows, cols, senders, duration_ms) = city_dcf_size();
-    points.push(city_dcf_point(rows, cols, senders, duration_ms, seed));
+    points.push(city_dcf_point(
+        rows,
+        cols,
+        senders,
+        duration_ms,
+        seed,
+        workers,
+    ));
     let city = points.last().expect("flagship point");
 
     // The street gap between neighbouring cells' bounding boxes —
@@ -2105,10 +2077,6 @@ pub fn city_dcf(seed: u64) -> (Vec<CityDcfPoint>, ExperimentReport) {
         .claim(
             "every shard plan validates (no coupled pair straddles shards)",
             points.iter().all(|p| p.incoherence.is_none()),
-        )
-        .claim(
-            "windowed shard executor is byte-identical to serial at 1/2/4 workers",
-            points.iter().all(|p| p.byte_identical()),
         )
         .claim(
             "cross-shard lookahead resolves the 184 m street gap",
@@ -2132,7 +2100,7 @@ pub fn city_dcf(seed: u64) -> (Vec<CityDcfPoint>, ExperimentReport) {
         )
         .claim(
             "the flagship city completes under the shard executor",
-            city.serial.events > 0 && city.windowed.iter().all(|(_, r)| r.events > 0),
+            city.run.events > 0,
         );
     (points, report)
 }
@@ -2149,11 +2117,6 @@ pub fn city_dcf(seed: u64) -> (Vec<CityDcfPoint>, ExperimentReport) {
 // exactly the per-cell component worlds CITY-DCF already runs.
 // ---------------------------------------------------------------------
 
-/// Shard-executor worker count each METRO-DCF point is verified at
-/// (one count, not CITY-DCF's three — the metro sweep trades executor
-/// breadth for deployment scale).
-pub const METRO_DCF_WORKER_COUNTS: [usize; 1] = [4];
-
 /// Largest deployment whose planning world also primes the sparse
 /// neighbor cache for the build-time/storage observables. Beyond this
 /// the rows (n·k entries) stop being an interesting measurement and
@@ -2161,8 +2124,8 @@ pub const METRO_DCF_WORKER_COUNTS: [usize; 1] = [4];
 const METRO_DCF_BUILD_CAP: usize = 20_000;
 
 /// One METRO-DCF point: the metro's grid-backed shard partition, the
-/// planning/build wall-clock observables, and the serial-vs-windowed
-/// differential outcome.
+/// planning/build wall-clock observables, and the composition's
+/// digest.
 pub struct MetroDcfPoint {
     /// Grid cells (= BSSes).
     pub cells: usize,
@@ -2176,8 +2139,6 @@ pub struct MetroDcfPoint {
     pub shards: usize,
     /// The plan's conservative cross-shard lookahead.
     pub lookahead: SimDuration,
-    /// The executor window actually used.
-    pub window: SimDuration,
     /// Wall-clock of the grid-backed `shard_plan` on the full
     /// planning world [ms].
     pub plan_ms: f64,
@@ -2192,19 +2153,11 @@ pub struct MetroDcfPoint {
     pub grid_coherent: bool,
     /// Partition-soundness failure on the planning world, if any.
     pub incoherence: Option<String>,
-    /// The serial (reference) composition.
-    pub serial: ShardRunReport,
-    /// Windowed compositions, one per [`METRO_DCF_WORKER_COUNTS`].
-    pub windowed: Vec<(usize, ShardRunReport)>,
+    /// The composition's digest.
+    pub run: ShardRunReport,
 }
 
 impl MetroDcfPoint {
-    /// Whether every windowed execution matched the serial reference
-    /// byte-for-byte and the plan validated.
-    pub fn byte_identical(&self) -> bool {
-        self.incoherence.is_none() && self.windowed.iter().all(|(_, r)| *r == self.serial)
-    }
-
     /// Dense-matrix pair count the sparse rows are measured against.
     pub fn dense_entries(&self) -> usize {
         self.stations * (self.stations - 1)
@@ -2239,15 +2192,16 @@ pub fn metro_dcf_sweep() -> Vec<(usize, usize, usize, u64)> {
 
 /// Runs one METRO-DCF point: time the grid-backed plan (and, under
 /// the build cap, the sparse neighbor-cache build) on the full
-/// planning world, validate the partition, then execute the
-/// composition serially and under the windowed shard executor and
-/// compare digests.
+/// planning world, validate the partition, then run the composition
+/// on `workers` component-executor threads. The worker count never
+/// changes the digest.
 pub fn metro_dcf_point(
     rows: usize,
     cols: usize,
     senders: usize,
     duration_ms: u64,
     seed: u64,
+    workers: usize,
 ) -> MetroDcfPoint {
     let cells = rows * cols;
     let per_cell = senders + 1;
@@ -2276,19 +2230,15 @@ pub fn metro_dcf_point(
         .map(|i| i.to_string());
     drop(planning);
 
-    let horizon = SimTime::from_millis(duration_ms);
-    let window = executor_window(&plan, horizon, CITY_DCF_WINDOW_FLOOR);
-    let build = |k: usize| city_dcf_component(&plan.shards[k], k, cols, senders, duration_ms, seed);
-    let serial = run_components_serial(plan.shard_count(), horizon, "METRO-DCF", build);
-    let windowed = METRO_DCF_WORKER_COUNTS
-        .iter()
-        .map(|&w| {
-            (
-                w,
-                run_components_windowed(plan.shard_count(), horizon, window, w, "METRO-DCF", build),
-            )
-        })
-        .collect();
+    let (_, run) = city_dcf_components(
+        &plan,
+        cols,
+        senders,
+        duration_ms,
+        seed,
+        workers,
+        "METRO-DCF",
+    );
 
     MetroDcfPoint {
         cells,
@@ -2297,22 +2247,22 @@ pub fn metro_dcf_point(
         duration_ms,
         shards: plan.shard_count(),
         lookahead: plan.lookahead,
-        window,
         plan_ms,
         build_ms,
         stored_entries,
         grid_coherent,
         incoherence,
-        serial,
-        windowed,
+        run,
     }
 }
 
 /// METRO-DCF — the grid-indexed metro sweep as an experiment report.
+/// Every point runs once, on [`worker_count`] executor threads.
 pub fn metro_dcf(seed: u64) -> (Vec<MetroDcfPoint>, ExperimentReport) {
+    let workers = worker_count();
     let points: Vec<MetroDcfPoint> = metro_dcf_sweep()
         .into_iter()
-        .map(|(rows, cols, senders, dur)| metro_dcf_point(rows, cols, senders, dur, seed))
+        .map(|(rows, cols, senders, dur)| metro_dcf_point(rows, cols, senders, dur, seed, workers))
         .collect();
     let flagship = points.last().expect("non-empty sweep");
 
@@ -2351,10 +2301,6 @@ pub fn metro_dcf(seed: u64) -> (Vec<MetroDcfPoint>, ExperimentReport) {
         .claim(
             "every grid-backed shard plan validates against the live world",
             points.iter().all(|p| p.incoherence.is_none()),
-        )
-        .claim(
-            "windowed shard executor is byte-identical to serial",
-            points.iter().all(|p| p.byte_identical()),
         )
         .claim(
             "the sweep reaches metropolitan scale",
@@ -3003,21 +2949,27 @@ mod tests {
         for p in &points {
             eprintln!(
                 "CITY-DCF cells={:3} stations={:5} senders/cell={:3} shards={:3} \
-                 lookahead={}ns window={}ns jain={:.4} per_sender={:.1} kbps \
-                 identical={} trace_fnv={:016x}",
+                 lookahead={}ns jain={:.4} per_sender={:.1} kbps trace_fnv={:016x}",
                 p.cells,
                 p.stations,
                 p.senders_per_cell,
                 p.shards,
                 p.lookahead.as_nanos(),
-                p.window.as_nanos(),
                 p.jain_cross_bss,
                 p.per_station_kbps,
-                p.byte_identical(),
-                p.serial.trace_fnv,
+                p.run.trace_fnv,
             );
         }
         assert!(report.passed(), "{}", report.to_markdown());
         assert_eq!(points.len(), city_dcf_collapse_sweep().2.len() + 1);
+
+        // The campaign ran on the host's worker count; the flagship
+        // must digest identically on 1 and 2 executor workers.
+        let (rows, cols, senders, duration_ms) = city_dcf_size();
+        let city = points.last().expect("flagship point");
+        for workers in [1, 2] {
+            let again = city_dcf_point(rows, cols, senders, duration_ms, 11, workers);
+            assert_eq!(again.run, city.run, "{workers} worker(s)");
+        }
     }
 }

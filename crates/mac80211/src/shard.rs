@@ -14,15 +14,14 @@
 //! [`WlanWorld::shard_plan`](crate::sim::WlanWorld::shard_plan)
 //! computes the partition; this module holds the plan type, the
 //! coherence checks behind the `shard-coherence` oracle, and the
-//! component-run harness that executes one simulation per shard —
-//! serially straight to the horizon, or windowed on scoped threads
-//! via [`wn_sim::run_shards_windowed`] — and digests the merged
-//! output in shard order so the two executions can be compared
-//! byte-for-byte.
+//! component executor ([`run_components`]) that builds and runs one
+//! simulation per shard on a worker pool and digests the merged
+//! output in shard order, so runs at different worker counts can be
+//! compared byte-for-byte.
 
 use crate::sim::WlanWorld;
 use wn_sim::stats::fnv1a;
-use wn_sim::{run_shards_windowed, SimDuration, SimTime, Simulation};
+use wn_sim::{par_map_with, SimDuration, SimTime, Simulation};
 
 /// Station index within a world (mirrors `sim::StationId`).
 pub type StationId = usize;
@@ -54,7 +53,9 @@ pub struct ShardPlan {
     /// The smallest propagation delay between any two stations in
     /// different shards (a lower bound computed from shard bounding
     /// boxes): the classic conservative-DES lookahead. `MAX` when
-    /// there are fewer than two shards.
+    /// there are fewer than two shards. A plan observable only: the
+    /// shards exchange no events, so [`run_components`] needs no
+    /// synchronization windows (DESIGN.md §15).
     pub lookahead: SimDuration,
     /// The co-channel coupling radius the plan was computed with
     /// (infinite when the caller passed `None`).
@@ -127,7 +128,7 @@ impl std::fmt::Display for ShardIncoherence {
 }
 
 /// The digested output of a component run: everything the
-/// sharded-vs-serial differential contract compares.
+/// worker-count differential contract compares.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ShardRunReport {
     /// Number of component worlds executed.
@@ -154,10 +155,9 @@ pub fn component_seed(base: u64, k: usize) -> u64 {
 
 /// Digests a slice of already-run component simulations into a
 /// [`ShardRunReport`]: per-shard trace and metrics JSONL concatenated
-/// in shard order, then FNV-1a'd. Public so callers that need
-/// per-component observables (CITY-DCF extracts per-BSS counters) can
-/// run the components themselves and still produce the exact digest
-/// the differential contract compares.
+/// in shard order, then FNV-1a'd. Public so callers that drive their
+/// own component loop (the benchmark times each phase) still produce
+/// the exact digest [`run_components`] returns.
 pub fn digest_components(
     sims: &[Simulation<WlanWorld>],
     per_shard_events: Vec<u64>,
@@ -179,77 +179,35 @@ pub fn digest_components(
     }
 }
 
-/// Runs `count` component worlds **serially**: each is built by
-/// `build(k)` and advanced straight to `horizon` with a single
-/// `run_until` call. This is the reference execution of the
-/// differential contract.
-pub fn run_components_serial<B>(
-    count: usize,
-    horizon: SimTime,
-    tag: &str,
-    build: B,
-) -> ShardRunReport
-where
-    B: Fn(usize) -> Simulation<WlanWorld>,
-{
-    let mut sims: Vec<Simulation<WlanWorld>> = (0..count).map(&build).collect();
-    let per_shard_events: Vec<u64> = sims.iter_mut().map(|s| s.run_until(horizon)).collect();
-    digest_components(&sims, per_shard_events, horizon, tag)
-}
-
-/// Runs `count` component worlds under the **windowed shard
-/// executor**: all components are built up front (in shard order,
-/// deterministically), then advanced in lockstep `window`-sized steps
-/// on up to `workers` scoped threads with a barrier between windows.
+/// Builds and runs `count` component worlds on up to `workers`
+/// threads: component `k` is built by `build(k)` and advanced straight
+/// to `horizon` with one `run_until`, both on the worker that claims
+/// it. Components never exchange state, so the worker count cannot
+/// change any component's event execution; 1 worker is the serial
+/// case. Returns the run worlds in shard order (for per-component
+/// observables) and their [`digest_components`] digest.
 ///
-/// Worlds never exchange state, so the barrier discipline — and the
-/// worker count — cannot change any component's event execution; the
-/// differential harness verifies exactly that, byte for byte, against
-/// [`run_components_serial`].
-pub fn run_components_windowed<B>(
+/// # Panics
+///
+/// Propagates a panic raised while building or running a component.
+pub fn run_components<B>(
     count: usize,
     horizon: SimTime,
-    window: SimDuration,
     workers: usize,
     tag: &str,
     build: B,
-) -> ShardRunReport
+) -> (Vec<Simulation<WlanWorld>>, ShardRunReport)
 where
     B: Fn(usize) -> Simulation<WlanWorld> + Sync,
 {
-    let mut sims: Vec<Simulation<WlanWorld>> = (0..count).map(&build).collect();
-    let (per_shard_events, _msgs) =
-        run_shards_windowed(&mut sims, workers, window, horizon, |sim, deadline| {
-            sim.run_until(deadline)
-        });
-    digest_components(&sims, per_shard_events, horizon, tag)
-}
-
-/// Picks the executor window for a plan: the cross-shard lookahead,
-/// batched up to at least `floor` (windows far smaller than the
-/// horizon only add barrier crossings — safe in either case because
-/// shards are *exactly* decoupled, see DESIGN.md §15), and clamped so
-/// a single-shard or infinite-lookahead plan still advances in a
-/// bounded number of windows.
-pub fn executor_window(plan: &ShardPlan, horizon: SimTime, floor: SimDuration) -> SimDuration {
-    let eighth = SimDuration::from_nanos((horizon.as_nanos() / 8).max(1));
-    // Degenerate lookaheads — single shard, unbounded (MAX), or zero
-    // (shards whose bounding boxes touch, e.g. a cross-channel shard
-    // inside another's hull) — fall back to horizon/8: the window is
-    // free to be anything because cross-shard coupling is exactly
-    // zero, and 8 windows bound the barrier count.
-    if plan.shard_count() < 2
-        || plan.lookahead == SimDuration::MAX
-        || plan.lookahead == SimDuration::ZERO
-    {
-        return eighth;
-    }
-    let mut w = plan.lookahead;
-    if w < floor {
-        let mult = floor.as_nanos().div_ceil(w.as_nanos());
-        w = SimDuration::from_nanos(w.as_nanos().saturating_mul(mult));
-    }
-    w.min(eighth).max(SimDuration::from_nanos(1))
+    let ran = par_map_with(workers, (0..count).collect(), |k| {
+        let mut sim = build(k);
+        let events = sim.run_until(horizon);
+        (sim, events)
+    });
+    let (sims, per_shard_events): (Vec<_>, Vec<_>) = ran.into_iter().unzip();
+    let report = digest_components(&sims, per_shard_events, horizon, tag);
+    (sims, report)
 }
 
 #[cfg(test)]
@@ -257,13 +215,11 @@ mod tests {
     use super::*;
     use crate::arena::FrameId;
     use crate::neighbors::NeighborCache;
-    use crate::sim::{MacConfig, WlanWorld};
-    use wn_sim::ShardMsg;
 
-    /// Compile-time `Send` audit (ISSUE 8 satellite): the whole shard
-    /// payload chain must stay `Send` so worlds can migrate onto
-    /// executor threads. A reintroduced `Rc`/`RefCell` anywhere in
-    /// these types fails this *at build time*.
+    /// Compile-time `Send` audit: the whole shard payload chain must
+    /// stay `Send` so worlds can migrate onto executor threads. A
+    /// reintroduced `Rc`/`RefCell` anywhere in these types fails this
+    /// *at build time*.
     fn assert_send<T: Send>() {}
 
     #[test]
@@ -272,7 +228,6 @@ mod tests {
         assert_send::<NeighborCache>();
         assert_send::<WlanWorld>();
         assert_send::<Simulation<WlanWorld>>();
-        assert_send::<ShardMsg>();
         assert_send::<ShardPlan>();
         assert_send::<ShardRunReport>();
     }
@@ -282,58 +237,5 @@ mod tests {
         // 300 m ≈ 1000.69 ns of flight time → 1000 ns conservative.
         assert_eq!(propagation_delay(300.0), SimDuration::from_nanos(1000));
         assert_eq!(propagation_delay(0.0), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn executor_window_batches_lookahead_up_to_floor() {
-        let plan = ShardPlan {
-            shard_of: vec![0, 1],
-            shards: vec![vec![0], vec![1]],
-            lookahead: SimDuration::from_nanos(700),
-            max_interference_range_m: 250.0,
-        };
-        let w = executor_window(
-            &plan,
-            SimTime::from_millis(100),
-            SimDuration::from_micros(64),
-        );
-        // An integer multiple of the lookahead, at least the floor.
-        assert_eq!(w.as_nanos() % 700, 0);
-        assert!(w >= SimDuration::from_micros(64));
-        // Single-shard plans fall back to horizon/8.
-        let single = ShardPlan {
-            shard_of: vec![0],
-            shards: vec![vec![0]],
-            lookahead: SimDuration::MAX,
-            max_interference_range_m: f64::INFINITY,
-        };
-        let w1 = executor_window(
-            &single,
-            SimTime::from_millis(8),
-            SimDuration::from_micros(64),
-        );
-        assert_eq!(w1, SimDuration::from_millis(1));
-    }
-
-    #[test]
-    fn component_harness_serial_equals_windowed_on_empty_worlds() {
-        let build = |k: usize| {
-            let mut cfg = MacConfig::new(wn_phy::PhyStandard::Dot11b);
-            cfg.seed = 0x5eed ^ k as u64;
-            Simulation::new(WlanWorld::new(cfg))
-        };
-        let horizon = SimTime::from_millis(2);
-        let serial = run_components_serial(3, horizon, "shard", build);
-        for workers in [1, 2, 4] {
-            let windowed = run_components_windowed(
-                3,
-                horizon,
-                SimDuration::from_micros(64),
-                workers,
-                "shard",
-                build,
-            );
-            assert_eq!(serial, windowed, "workers {workers}");
-        }
     }
 }

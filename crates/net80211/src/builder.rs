@@ -53,7 +53,7 @@ impl EssBuilder {
             aps: Vec::new(),
             stas: Vec::new(),
             wire_latency: SimDuration::from_micros(100),
-            scheduler: SchedulerKind::BinaryHeap,
+            scheduler: SchedulerKind::default(),
             neighbor_cache: None,
         }
     }
@@ -101,9 +101,9 @@ impl EssBuilder {
         self
     }
 
-    /// Selects the event-queue back end (binary heap by default).
-    /// Either choice yields bit-identical runs; the timer wheel is the
-    /// faster queue for large station counts.
+    /// Selects the event-queue back end (the engine default, the timer
+    /// wheel, unless set). Either choice yields bit-identical runs; the
+    /// binary heap stays selectable as the differential reference.
     pub fn scheduler(mut self, kind: SchedulerKind) -> Self {
         self.scheduler = kind;
         self

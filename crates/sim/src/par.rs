@@ -13,8 +13,7 @@
 //! 2. the `WN_THREADS` environment variable (`1` disables threading),
 //! 3. [`std::thread::available_parallelism`].
 
-use crate::time::{SimDuration, SimTime};
-use std::sync::{Barrier, Mutex};
+use std::sync::Mutex;
 
 /// Resolves the worker count from `WN_THREADS` or the machine size.
 ///
@@ -90,266 +89,9 @@ where
         .collect()
 }
 
-/// A progress record emitted by the shard executor.
-///
-/// Messages are collected per shard and merged **in shard-index
-/// order** after the run, so the returned log is identical for any
-/// worker count — thread completion order never leaks into output.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ShardMsg {
-    /// A shard finished advancing to one synchronization boundary.
-    WindowDone {
-        /// Shard index within the plan.
-        shard: usize,
-        /// Zero-based window number.
-        window: u64,
-        /// Events the shard processed inside this window.
-        events: u64,
-    },
-    /// A shard reached the horizon.
-    ShardDone {
-        /// Shard index within the plan.
-        shard: usize,
-        /// Total events the shard processed over the whole run.
-        events: u64,
-    },
-}
-
-/// The synchronization boundaries of a windowed shard run: `window`,
-/// `2·window`, … clamped so the final boundary is exactly `horizon`.
-///
-/// Exposed so callers (and tests) can reason about the exact deadline
-/// sequence every shard sees — the sequence is a pure function of
-/// `(window, horizon)`, never of worker count or thread timing.
-pub fn shard_boundaries(window: SimDuration, horizon: SimTime) -> Vec<SimTime> {
-    assert!(window.as_nanos() > 0, "shard window must be non-zero");
-    let mut out = Vec::new();
-    let mut t = 0u64;
-    loop {
-        t = t.saturating_add(window.as_nanos());
-        if t >= horizon.as_nanos() {
-            out.push(horizon);
-            return out;
-        }
-        out.push(SimTime::from_nanos(t));
-    }
-}
-
-/// Runs every shard straight to `horizon`, one after another, with no
-/// synchronization windows. This is the *serial reference execution*
-/// the windowed executor is differentially tested against: same
-/// shards, same horizon, one `advance` call each.
-///
-/// Returns the per-shard event totals in shard-index order.
-pub fn run_shards_serial<S, F>(shards: &mut [S], horizon: SimTime, advance: F) -> Vec<u64>
-where
-    F: Fn(&mut S, SimTime) -> u64,
-{
-    shards.iter_mut().map(|s| advance(s, horizon)).collect()
-}
-
-/// Advances all shards to `horizon` in lockstep windows on up to
-/// `workers` scoped threads, with a [`Barrier`] between windows.
-///
-/// Every shard observes the exact same deadline sequence
-/// ([`shard_boundaries`]) regardless of worker count, so a shard's
-/// event execution — and therefore its trace and metrics — is a pure
-/// function of the shard itself, never of thread placement. The
-/// conservative-synchronization contract is the *caller's* obligation:
-/// the window must not exceed the cross-shard lookahead, so no shard
-/// can be affected by another within one window (DESIGN.md §15).
-///
-/// Returns `(per-shard event totals, progress log)`, both merged in
-/// shard-index order.
-///
-/// # Panics
-///
-/// Panics if `window` is zero; propagates panics from `advance`.
-pub fn run_shards_windowed<S, F>(
-    shards: &mut [S],
-    workers: usize,
-    window: SimDuration,
-    horizon: SimTime,
-    advance: F,
-) -> (Vec<u64>, Vec<ShardMsg>)
-where
-    S: Send,
-    F: Fn(&mut S, SimTime) -> u64 + Sync,
-{
-    let n = shards.len();
-    if n == 0 {
-        return (Vec::new(), Vec::new());
-    }
-    let boundaries = shard_boundaries(window, horizon);
-
-    // Contiguous chunks: shard index order is preserved within each
-    // worker, and per-shard outputs are reassembled by index below.
-    let per_chunk = n.div_ceil(workers.max(1).min(n));
-    let chunks: Vec<(usize, &mut [S])> = {
-        let mut start = 0usize;
-        shards
-            .chunks_mut(per_chunk)
-            .map(|c| {
-                let s = start;
-                start += c.len();
-                (s, c)
-            })
-            .collect()
-    };
-    let barrier = Barrier::new(chunks.len());
-
-    let mut per_shard: Vec<(Vec<u64>, Vec<ShardMsg>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|(start, chunk)| {
-                let barrier = &barrier;
-                let boundaries = &boundaries;
-                let advance = &advance;
-                scope.spawn(move || {
-                    let mut totals = vec![0u64; chunk.len()];
-                    let mut msgs = Vec::new();
-                    for (w, &deadline) in boundaries.iter().enumerate() {
-                        for (k, shard) in chunk.iter_mut().enumerate() {
-                            let ev = advance(shard, deadline);
-                            totals[k] += ev;
-                            msgs.push(ShardMsg::WindowDone {
-                                shard: start + k,
-                                window: w as u64,
-                                events: ev,
-                            });
-                        }
-                        barrier.wait();
-                    }
-                    for (k, &t) in totals.iter().enumerate() {
-                        msgs.push(ShardMsg::ShardDone {
-                            shard: start + k,
-                            events: t,
-                        });
-                    }
-                    (totals, msgs)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard worker panicked"))
-            .collect()
-    });
-
-    // Merge in shard-index order: chunk order == shard order, and the
-    // progress log is re-sorted by (shard, kind, window) so the merged
-    // log is byte-identical for any worker count.
-    let totals: Vec<u64> = per_shard
-        .iter()
-        .flat_map(|(t, _)| t.iter().copied())
-        .collect();
-    let mut msgs: Vec<ShardMsg> = per_shard.drain(..).flat_map(|(_, m)| m).collect();
-    msgs.sort_by_key(|m| match *m {
-        ShardMsg::WindowDone { shard, window, .. } => (shard, 0u8, window),
-        ShardMsg::ShardDone { shard, .. } => (shard, 1u8, 0),
-    });
-    (totals, msgs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Compile-time `Send` audit for the executor's own types: a
-    /// future `Rc`/`RefCell` regression in a shard payload fails here
-    /// at build time, not at 2 a.m. in a soak run.
-    fn assert_send<T: Send>() {}
-
-    #[test]
-    fn shard_executor_types_are_send() {
-        assert_send::<ShardMsg>();
-        assert_send::<Vec<ShardMsg>>();
-    }
-
-    #[test]
-    fn boundaries_end_exactly_at_horizon() {
-        let b = shard_boundaries(SimDuration::from_micros(64), SimTime::from_micros(200));
-        assert_eq!(
-            b,
-            vec![
-                SimTime::from_micros(64),
-                SimTime::from_micros(128),
-                SimTime::from_micros(192),
-                SimTime::from_micros(200),
-            ]
-        );
-        // Window >= horizon: a single boundary at the horizon.
-        let one = shard_boundaries(SimDuration::from_secs(5), SimTime::from_micros(10));
-        assert_eq!(one, vec![SimTime::from_micros(10)]);
-    }
-
-    /// A toy "world": a counter that steps once per nanosecond up to
-    /// each deadline. Advancing it through any deadline subdivision
-    /// yields the same final state, like `run_until` on a real engine.
-    struct Toy {
-        now: u64,
-        acc: u64,
-    }
-
-    fn toy_advance(t: &mut Toy, deadline: SimTime) -> u64 {
-        let mut ev = 0;
-        while t.now < deadline.as_nanos() {
-            t.now += 1;
-            t.acc = t.acc.wrapping_mul(6364136223846793005).wrapping_add(t.now);
-            ev += 1;
-        }
-        ev
-    }
-
-    #[test]
-    fn windowed_matches_serial_for_any_worker_count() {
-        let horizon = SimTime::from_nanos(997);
-        let window = SimDuration::from_nanos(64);
-        let mk = || (0..5).map(|i| Toy { now: 0, acc: i }).collect::<Vec<_>>();
-
-        let mut serial = mk();
-        let serial_events = run_shards_serial(&mut serial, horizon, toy_advance);
-
-        for workers in [1, 2, 4, 8] {
-            let mut sharded = mk();
-            let (events, msgs) =
-                run_shards_windowed(&mut sharded, workers, window, horizon, toy_advance);
-            assert_eq!(events, serial_events, "worker count {workers}");
-            for (a, b) in serial.iter().zip(&sharded) {
-                assert_eq!((a.now, a.acc), (b.now, b.acc), "worker count {workers}");
-            }
-            // 16 windows (997/64 -> 15 full + the horizon) per shard,
-            // plus one ShardDone per shard, merged in shard order.
-            assert_eq!(msgs.len(), 5 * (16 + 1), "worker count {workers}");
-        }
-    }
-
-    #[test]
-    fn progress_log_is_identical_across_worker_counts() {
-        let horizon = SimTime::from_nanos(512);
-        let window = SimDuration::from_nanos(100);
-        let run = |workers: usize| {
-            let mut shards = (0..7).map(|i| Toy { now: 0, acc: i }).collect::<Vec<_>>();
-            run_shards_windowed(&mut shards, workers, window, horizon, toy_advance).1
-        };
-        let one = run(1);
-        assert_eq!(one, run(2));
-        assert_eq!(one, run(4));
-        assert_eq!(one, run(7));
-    }
-
-    #[test]
-    fn empty_shard_set_is_fine() {
-        let (events, msgs) = run_shards_windowed(
-            &mut Vec::<Toy>::new(),
-            4,
-            SimDuration::from_nanos(10),
-            SimTime::from_nanos(100),
-            toy_advance,
-        );
-        assert!(events.is_empty());
-        assert!(msgs.is_empty());
-    }
 
     #[test]
     fn results_come_back_in_input_order() {

@@ -2,8 +2,7 @@
 //! must construct, plan and run at 100k+ stations — the size where the
 //! dense O(n²) paths stop being an option — with one interference
 //! shard per cell, a plan that re-validates coherent, and byte-
-//! identical digests between the serial composition and the windowed
-//! shard executor.
+//! identical digests at 1 and 2 component-executor workers.
 //!
 //! Like `city_dcf.rs` and `scale_dcf.rs`, the flagship sizes are
 //! release-only; the tier-1 debug suite runs the small sweep points.
@@ -13,7 +12,7 @@ use wireless_networks::core::scenarios::{metro_dcf_point, metro_dcf_sweep, Metro
 fn dump(p: &MetroDcfPoint) {
     eprintln!(
         "METRO-DCF cells={} stations={} shards={} plan={:.1}ms build={:?}ms \
-         stored={:?} coherent={} identical={}",
+         stored={:?} coherent={} events={} trace_fnv={:016x}",
         p.cells,
         p.stations,
         p.shards,
@@ -21,8 +20,25 @@ fn dump(p: &MetroDcfPoint) {
         p.build_ms,
         p.stored_entries,
         p.grid_coherent,
-        p.byte_identical(),
+        p.run.events,
+        p.run.trace_fnv,
     );
+}
+
+/// Runs the point at 1 and 2 workers, asserts both are sound and
+/// digest identically, and returns the 1-worker run.
+fn sound_point(rows: usize, cols: usize, senders: usize, duration_ms: u64) -> MetroDcfPoint {
+    let one = metro_dcf_point(rows, cols, senders, duration_ms, 42, 1);
+    let two = metro_dcf_point(rows, cols, senders, duration_ms, 42, 2);
+    for p in [&one, &two] {
+        dump(p);
+        assert_point_sound(p);
+    }
+    assert_eq!(
+        one.run, two.run,
+        "2-worker execution diverged from the 1-worker composition"
+    );
+    one
 }
 
 fn assert_point_sound(p: &MetroDcfPoint) {
@@ -33,11 +49,7 @@ fn assert_point_sound(p: &MetroDcfPoint) {
         p.incoherence
     );
     assert!(p.grid_coherent, "grid structure incoherent");
-    assert!(p.serial.events > 0, "the metro must actually run");
-    assert!(
-        p.byte_identical(),
-        "windowed execution diverged from the serial composition"
-    );
+    assert!(p.run.events > 0, "the metro must actually run");
     if let Some(stored) = p.stored_entries {
         assert!(
             stored < p.dense_entries(),
@@ -47,13 +59,11 @@ fn assert_point_sound(p: &MetroDcfPoint) {
 }
 
 /// Every sweep point — debug or release — plans one shard per cell,
-/// re-validates, and digests byte-identically under the executor.
+/// re-validates, and digests byte-identically at 1 and 2 workers.
 #[test]
 fn every_sweep_point_is_sound() {
     for (rows, cols, senders, duration_ms) in metro_dcf_sweep() {
-        let p = metro_dcf_point(rows, cols, senders, duration_ms, 42);
-        dump(&p);
-        assert_point_sound(&p);
+        sound_point(rows, cols, senders, duration_ms);
     }
 }
 
@@ -69,14 +79,12 @@ fn every_sweep_point_is_sound() {
 )]
 fn flagship_metro_reaches_100k_stations() {
     let (rows, cols, senders, duration_ms) = *metro_dcf_sweep().last().expect("sweep non-empty");
-    let p = metro_dcf_point(rows, cols, senders, duration_ms, 42);
-    dump(&p);
+    let p = sound_point(rows, cols, senders, duration_ms);
     assert!(
         p.stations >= 100_000,
         "flagship must cover >=100k stations, got {}",
         p.stations
     );
-    assert_point_sound(&p);
     assert!(
         p.plan_ms < 60_000.0,
         "grid planning took {:.0}ms at n={} — the spatial index is not doing its job",

@@ -8,14 +8,13 @@
 //!   pair's actual propagation delay (the conservative-DES bound);
 //! - stale plans are caught by `shard_plan_incoherence` after the
 //!   world changes under them (the `shard-coherence` oracle's check);
-//! - the windowed shard executor produces byte-identical digests to
-//!   the serial composition at 1, 2 and 4 workers, and a
-//!   single-component composition bridges to a plain `run_until`.
+//! - the component executor produces byte-identical digests at 1, 2
+//!   and 4 workers, and a single-component composition bridges to a
+//!   plain `run_until`.
 
 use wireless_networks::mac80211::addr::MacAddr;
 use wireless_networks::mac80211::shard::{
-    component_seed, propagation_delay, run_components_serial, run_components_windowed,
-    ShardIncoherence,
+    component_seed, propagation_delay, run_components, ShardIncoherence,
 };
 use wireless_networks::mac80211::sim::{boot, inject_at, MacConfig, NullUpper, WlanWorld};
 use wireless_networks::phy::geom::Point;
@@ -197,25 +196,19 @@ fn traffic_cell(seed: u64, k: usize, channel: u8) -> Simulation<WlanWorld> {
 }
 
 /// The executor differential at root level: three traffic-carrying
-/// cells on channels 1/6/11, serial vs windowed at 1, 2 and 4
-/// workers, byte-identical digests everywhere — and the worker count
-/// never changes the answer.
+/// cells on channels 1/6/11 at 1, 2 and 4 workers, byte-identical
+/// digests everywhere — the worker count never changes the answer.
 #[test]
-fn windowed_executor_is_byte_identical_to_serial() {
+fn component_executor_is_byte_identical_across_worker_counts() {
     let horizon = SimTime::from_millis(30);
     let build = |k: usize| traffic_cell(11, k, [1u8, 6, 11][k]);
-    let serial = run_components_serial(3, horizon, "shards", build);
-    assert!(serial.events > 0);
-    for workers in [1usize, 2, 4] {
-        let windowed = run_components_windowed(
-            3,
-            horizon,
-            SimDuration::from_micros(640),
-            workers,
-            "shards",
-            build,
-        );
-        assert_eq!(serial, windowed, "windowed x{workers} diverged from serial");
+    let (sims, one) = run_components(3, horizon, 1, "shards", build);
+    assert_eq!(sims.len(), 3);
+    assert!(one.events > 0);
+    assert!(one.per_shard_events.iter().all(|&e| e > 0));
+    for workers in [2usize, 4] {
+        let (_, many) = run_components(3, horizon, workers, "shards", build);
+        assert_eq!(one, many, "{workers} workers diverged from 1 worker");
     }
 }
 
@@ -225,7 +218,7 @@ fn windowed_executor_is_byte_identical_to_serial() {
 #[test]
 fn single_component_composition_bridges_to_plain_run_until() {
     let horizon = SimTime::from_millis(30);
-    let report = run_components_serial(1, horizon, "shards", |k| traffic_cell(11, k, 1));
+    let (_, report) = run_components(1, horizon, 1, "shards", |k| traffic_cell(11, k, 1));
     let mut sim = traffic_cell(11, 0, 1);
     let events = sim.run_until(horizon);
     let trace = fnv1a(sim.world().trace.to_jsonl("shards").as_bytes());
