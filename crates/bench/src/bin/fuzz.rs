@@ -27,7 +27,12 @@
 //! - `--cache-diff` — differential propagation mode: replay every seed
 //!   with the neighbor cache on and off and fail unless the trace and
 //!   metrics fingerprints are byte-identical (the equivalence contract
-//!   of the cached hot path, including under ESS mobility).
+//!   of the cached hot path, including under ESS mobility). Two fixed
+//!   legs follow: the multi-cell line worlds (traffic spanning several
+//!   grid neighborhoods, cached vs direct, byte-identical trace and
+//!   metrics), and a multi-cell CITY-DCF street grid planned through
+//!   both `shard_plan` and `shard_plan_exhaustive`, demanding identical
+//!   partitions, lookaheads and clean re-validation verdicts.
 //! - `--shard-diff` — differential sharding mode: partition every
 //!   seed's deployment into interference shards and run the
 //!   composition through the component executor at 1 worker and again
@@ -36,14 +41,6 @@
 //!   multi-shard CITY-DCF grid the generated scenarios cannot reach.
 //!   Single-component ESS worlds and non-medium kinds
 //!   (Bluetooth/ZigBee/WiMAX) are skipped.
-//! - `--grid-diff` — differential spatial-index mode: replay every
-//!   seed with the spatial grid index on (sparse neighbor rows,
-//!   grid-backed shard planning) and off (exhaustive dense scans) and
-//!   fail unless the trace and metrics fingerprints are byte-identical
-//!   (the grid's equivalence contract, DESIGN.md §17). Range runs
-//!   additionally plan a multi-cell CITY-DCF street grid through both
-//!   `shard_plan` and `shard_plan_exhaustive` and demand identical
-//!   partitions and lookaheads.
 //! - `--qos` — the EDCA/A-MPDU corpus (DESIGN.md §16): every seed maps
 //!   to a QoS WLAN world (mixed-AC traffic, aggregation on/off, OBSS
 //!   twin cells), each run oracle-checked through both scheduler back
@@ -61,9 +58,9 @@
 //! one-line repro command, and exits 1.
 
 use wn_check::{
-    check_range_gen, check_range_grid, check_range_opts, check_range_with, check_seed_with,
+    check_range_gen, check_range_opts, check_range_with, check_seed_with, line_world_run,
     range_digest, repro_command, run, shard_diff_range, shard_diff_range_gen, shard_diff_seed,
-    shrink, station_count, ScenarioGen, ShardDiffReport,
+    shrink, station_count, ScenarioGen, ShardDiffReport, LINE_WORLD_SPACINGS,
 };
 use wn_core::scenarios::{city_dcf_point, metro_dcf_planning_world, CITY_DCF_RANGE_M};
 use wn_mac80211::shard::ShardRunReport;
@@ -87,7 +84,6 @@ struct Options {
     dual: bool,
     cache_diff: bool,
     shard_diff: bool,
-    grid_diff: bool,
     qos: bool,
     scheduler: SchedulerKind,
 }
@@ -102,7 +98,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
         dual: false,
         cache_diff: false,
         shard_diff: false,
-        grid_diff: false,
         qos: false,
         scheduler: SchedulerKind::default(),
     };
@@ -137,7 +132,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
             "--dual" => opts.dual = true,
             "--cache-diff" => opts.cache_diff = true,
             "--shard-diff" => opts.shard_diff = true,
-            "--grid-diff" => opts.grid_diff = true,
             "--qos" => opts.qos = true,
             "--scheduler" => {
                 i += 1;
@@ -241,7 +235,9 @@ fn run_dual(opts: &Options) -> u64 {
 
 /// Differential propagation mode: the same seed range with the
 /// neighbor cache on vs off, seed by seed, demanding identical
-/// fingerprints. Returns the number of disagreeing or violating seeds.
+/// fingerprints, then the fixed multi-cell legs (line-world traffic
+/// cached vs direct, CITY-DCF planning grid vs exhaustive). Returns
+/// the number of disagreeing or violating seeds and legs.
 fn run_cache_diff(opts: &Options) -> u64 {
     let (start, count) = match opts.single {
         Some(seed) => (seed, 1),
@@ -268,11 +264,13 @@ fn run_cache_diff(opts: &Options) -> u64 {
             report_failure(c.seed, &c.summary, &c.violations, opts.shrink);
         }
     }
+    failures += multi_cell_legs();
     println!(
-        "cache-diff fuzz: {} seeds ({}..{}) x {{cached, direct}} on {} workers in {:.2}s: {} failing",
+        "cache-diff fuzz: {} seeds ({}..{}) x {{cached, direct}} + {} multi-cell line worlds + a CITY-DCF planning check on {} workers in {:.2}s: {} failing",
         count,
         start,
         start + count,
+        LINE_WORLD_SPACINGS.len(),
         opts.threads,
         t0.elapsed().as_secs_f64(),
         failures
@@ -280,41 +278,31 @@ fn run_cache_diff(opts: &Options) -> u64 {
     failures
 }
 
-/// Differential spatial-index mode: the same seed range with the grid
-/// index on (sparse rows, grid shard planning) vs off (exhaustive
-/// dense scans), demanding identical fingerprints, plus a fixed
-/// multi-cell CITY-DCF planning world compared pair-for-pair through
-/// the grid and exhaustive planners. Returns the number of failures.
-fn run_grid_diff(opts: &Options) -> u64 {
-    let (start, count) = match opts.single {
-        Some(seed) => (seed, 1),
-        None => (opts.start, opts.count),
-    };
-    let t0 = std::time::Instant::now();
-    let gridded = check_range_grid(start, count, opts.threads, true);
-    let exhaustive = check_range_grid(start, count, opts.threads, false);
+/// The fixed multi-cell legs of `--cache-diff`, covering world shapes
+/// the scenario generator cannot produce. Returns the failure count.
+fn multi_cell_legs() -> u64 {
     let mut failures = 0u64;
-    for (g, e) in gridded.iter().zip(&exhaustive) {
-        let agree =
-            g.events == e.events && g.trace_fnv == e.trace_fnv && g.metrics_fnv == e.metrics_fnv;
-        if !agree {
+    // Traffic across several grid neighborhoods: interference from
+    // outside a receiver's neighborhood must reach its SINR exactly as
+    // on the direct path.
+    for spacing in LINE_WORLD_SPACINGS {
+        let cached = line_world_run(spacing, true);
+        let direct = line_world_run(spacing, false);
+        if cached.processed != direct.processed
+            || cached.trace_jsonl != direct.trace_jsonl
+            || cached.metrics_jsonl != direct.metrics_jsonl
+        {
             failures += 1;
             println!(
-                "seed {}: GRID DIVERGENCE  {}\n  grid:       events={} trace_fnv={:016x} metrics_fnv={:016x}\n  exhaustive: events={} trace_fnv={:016x} metrics_fnv={:016x}",
-                g.seed, g.summary, g.events, g.trace_fnv, g.metrics_fnv, e.events, e.trace_fnv, e.metrics_fnv
+                "line world {spacing}x: NEIGHBOR-CACHE DIVERGENCE  events {} cached vs {} direct",
+                cached.processed, direct.processed
             );
-            println!("  repro: {} --grid-diff", repro_command(g.seed));
-        }
-        if !g.violations.is_empty() {
-            failures += 1;
-            report_failure(g.seed, &g.summary, &g.violations, opts.shrink);
         }
     }
 
-    // The planning leg: a street grid the scenario generator cannot
-    // produce, planned through the grid index and the exhaustive O(n²)
-    // scan. Both partitions, lookaheads and re-validation verdicts
-    // must match exactly.
+    // The planning leg: a street grid planned through the grid index
+    // and the exhaustive O(n²) scan. Both partitions, lookaheads and
+    // re-validation verdicts must match exactly.
     let world = metro_dcf_planning_world(3, 4, 12, 60, 42);
     let grid_plan = world.shard_plan(SimTime::ZERO, Some(CITY_DCF_RANGE_M));
     let exhaustive_plan = world.shard_plan_exhaustive(SimTime::ZERO, Some(CITY_DCF_RANGE_M));
@@ -338,17 +326,6 @@ fn run_grid_diff(opts: &Options) -> u64 {
             "CITY-DCF planning: INCOHERENT PLAN  grid verdict {grid_verdict:?}, exhaustive verdict {exhaustive_verdict:?}"
         );
     }
-
-    println!(
-        "grid-diff fuzz: {} seeds ({}..{}) x {{grid, exhaustive}} + a {}-station CITY-DCF planning check on {} workers in {:.2}s: {} failing",
-        count,
-        start,
-        start + count,
-        grid_plan.shard_of.len(),
-        opts.threads,
-        t0.elapsed().as_secs_f64(),
-        failures
-    );
     failures
 }
 
@@ -629,12 +606,6 @@ fn main() {
     }
     if opts.shard_diff {
         if run_shard_diff(&opts) > 0 {
-            std::process::exit(1);
-        }
-        return;
-    }
-    if opts.grid_diff {
-        if run_grid_diff(&opts) > 0 {
             std::process::exit(1);
         }
         return;

@@ -39,12 +39,13 @@
 //! deterministic form of "aggregation amortises contention overhead".
 //!
 //! A `grid` section measures what the spatial hash grid buys on the
-//! CITY-DCF flagship city (DESIGN.md §17): the sparse grid-backed
-//! neighbor-cache build and shard plan against the dense O(n²)
-//! equivalents, both live in the same process so the before/after
-//! comparison is honest, plus a plan-only scaling row at the METRO-DCF
-//! 100k+ flagship. The partitions must be identical and the plan must
-//! re-validate coherent.
+//! CITY-DCF flagship city (DESIGN.md §17): the grid-backed
+//! neighbor-cache build and shard plan against the no-grid O(n²)
+//! equivalents — the same world under an identical log-distance
+//! closure the grid cannot index — alternating three times each in
+//! the same process (median, min/max), plus a plan-only scaling row
+//! at the METRO-DCF 100k+ flagship. The partitions must be identical
+//! and the plan must re-validate coherent.
 //!
 //! `--section neighbors` (or `scheduler`, `arena`, `shards`, `qos`,
 //! `grid`) runs just that section and prints its JSON object — the CI
@@ -58,6 +59,7 @@ use wn_core::scenarios::{
     city_dcf_run, city_dcf_size, dense_obss_point_opts, metro_dcf_planning_world, metro_dcf_sweep,
     scale_dcf_op_log, scale_dcf_point, scale_dcf_point_opts, CITY_DCF_RANGE_M, DENSE_OBSS_MIX,
 };
+use wn_phy::propagation::{LogDistance, PathLoss};
 use wn_sim::{
     global_events_processed, replay_ops, set_observability, worker_count, SchedulerKind, SimTime,
     OP_POP,
@@ -596,75 +598,80 @@ fn neighbors_section() -> String {
 
 /// Measures what the spatial hash grid buys on the CITY-DCF flagship
 /// planning world (DESIGN.md §17) and returns the `"grid"` JSON object
-/// (indented two spaces, trailing newline): the sparse grid-backed
-/// neighbor-cache build and grid shard plan against the dense matrix
-/// build and exhaustive O(n²) plan, measured live in the same process,
-/// plus a plan-only scaling row at the METRO-DCF flagship (100k+
-/// stations in release, where the dense paths are no longer feasible).
-/// Panics unless both planners produce the identical partition and the
-/// plan re-validates coherent; the speedup verdict is always recorded
-/// (the section is single-threaded, so core count is irrelevant).
+/// (indented two spaces, trailing newline): the grid-backed
+/// neighbor-cache build and grid shard plan against the no-grid path —
+/// the same world with an identical log-distance closure installed
+/// through `set_loss_model_static`, which the grid cannot index, so
+/// every cached row covers the whole world and planning takes the
+/// exhaustive O(n²) scan. Both sides run `GRID_REPEATS` times,
+/// alternating, live in the same process (median, min/max), plus a
+/// plan-only scaling row at the METRO-DCF flagship (100k+ stations in
+/// release, where the no-grid paths are no longer feasible). Panics
+/// unless both planners produce the identical partition and the plan
+/// re-validates coherent; the speedup verdict is always recorded (the
+/// section is single-threaded, so core count is irrelevant).
 fn grid_section() -> String {
     const SEED: u64 = 42;
+    const GRID_REPEATS: usize = 3;
     let (rows, cols, senders, duration_ms) = city_dcf_size();
     let stations = rows * cols * (senders + 1);
 
-    // Grid path: sparse 27-cell-neighborhood cache build + grid plan.
-    let mut grid_world = metro_dcf_planning_world(rows, cols, senders, duration_ms, SEED);
-    eprintln!("perfsuite: grid CITY-DCF n={stations}: sparse cache build…");
-    let t0 = Instant::now();
-    grid_world.prime_neighbor_cache(SimTime::ZERO);
-    let grid_build_s = t0.elapsed().as_secs_f64();
-    let (sparse, grid_stored) = grid_world
-        .neighbor_cache_stats()
-        .expect("planning world primes its neighbor cache");
-    assert!(sparse, "grid world built a dense cache");
-    let incoherent = grid_world.grid_incoherence(SimTime::ZERO);
-    assert!(incoherent.is_empty(), "grid incoherent: {incoherent:?}");
-    eprintln!("perfsuite: grid plan…");
-    let t0 = Instant::now();
-    let grid_plan = grid_world.shard_plan(SimTime::ZERO, Some(CITY_DCF_RANGE_M));
-    let grid_plan_s = t0.elapsed().as_secs_f64();
-    assert!(
-        grid_world
-            .shard_plan_incoherence(&grid_plan, SimTime::ZERO)
-            .is_none(),
-        "grid plan failed re-validation"
-    );
-
-    // Dense baseline, live: full n x n matrix build + exhaustive plan.
-    let mut dense_world = metro_dcf_planning_world(rows, cols, senders, duration_ms, SEED);
-    dense_world.set_grid_index(false);
-    eprintln!("perfsuite: dense CITY-DCF n={stations}: full matrix build…");
-    let t0 = Instant::now();
-    dense_world.prime_neighbor_cache(SimTime::ZERO);
-    let dense_build_s = t0.elapsed().as_secs_f64();
-    let (dense_sparse, dense_stored) = dense_world
-        .neighbor_cache_stats()
-        .expect("planning world primes its neighbor cache");
-    assert!(!dense_sparse, "grid-off world built a sparse cache");
-    eprintln!("perfsuite: exhaustive plan…");
-    let t0 = Instant::now();
-    let dense_plan = dense_world.shard_plan_exhaustive(SimTime::ZERO, Some(CITY_DCF_RANGE_M));
-    let dense_plan_s = t0.elapsed().as_secs_f64();
-    assert_eq!(
-        grid_plan.shard_of, dense_plan.shard_of,
-        "grid and exhaustive planners disagree on the partition"
-    );
-    assert_eq!(grid_plan.lookahead, dense_plan.lookahead);
-    assert!(
-        grid_stored <= dense_stored,
-        "sparse rows store more pairs than the dense matrix"
-    );
-
-    let build_speedup = dense_build_s / grid_build_s.max(f64::MIN_POSITIVE);
-    let plan_speedup = dense_plan_s / grid_plan_s.max(f64::MIN_POSITIVE);
+    // One timed side: cache build, then shard plan, on a fresh world.
+    let run_side = |grid: bool| {
+        let mut world = metro_dcf_planning_world(rows, cols, senders, duration_ms, SEED);
+        if !grid {
+            let model = LogDistance::indoor();
+            world
+                .set_loss_model_static(Box::new(move |a, b, f, _| model.loss(a.distance_to(b), f)));
+        }
+        let label = if grid { "grid" } else { "no-grid" };
+        eprintln!("perfsuite: CITY-DCF n={stations}: {label} cache build + plan…");
+        let t0 = Instant::now();
+        world.prime_neighbor_cache(SimTime::ZERO);
+        let build_s = t0.elapsed().as_secs_f64();
+        let (indexed, stored) = world
+            .neighbor_cache_stats()
+            .expect("planning world primes its neighbor cache");
+        assert_eq!(indexed, grid, "{label} world built the wrong cache shape");
+        let t0 = Instant::now();
+        let plan = world.shard_plan(SimTime::ZERO, Some(CITY_DCF_RANGE_M));
+        let plan_s = t0.elapsed().as_secs_f64();
+        if grid {
+            let incoherent = world.grid_incoherence(SimTime::ZERO);
+            assert!(incoherent.is_empty(), "grid incoherent: {incoherent:?}");
+            assert!(
+                world.shard_plan_incoherence(&plan, SimTime::ZERO).is_none(),
+                "grid plan failed re-validation"
+            );
+        }
+        (build_s, plan_s, stored, plan)
+    };
+    // Samples: grid build, grid plan, no-grid build, no-grid plan.
+    let mut times: [Vec<f64>; 4] = Default::default();
+    let (mut grid_stored, mut base_stored, mut shards) = (0, 0, 0);
+    for _ in 0..GRID_REPEATS {
+        let (gb, gp, gs, grid_plan) = run_side(true);
+        let (bb, bp, bs, base_plan) = run_side(false);
+        assert_eq!(
+            grid_plan.shard_of, base_plan.shard_of,
+            "grid and exhaustive planners disagree on the partition"
+        );
+        assert_eq!(grid_plan.lookahead, base_plan.lookahead);
+        assert!(gs <= bs, "grid rows store more pairs than full rows");
+        for (t, v) in times.iter_mut().zip([gb, gp, bb, bp]) {
+            t.push(v);
+        }
+        (grid_stored, base_stored, shards) = (gs, bs, grid_plan.shards.len());
+    }
+    let [gb, gp, bb, bp] = times.map(|mut t| spread(&mut t));
+    let build_speedup = bb.0 / gb.0.max(f64::MIN_POSITIVE);
+    let plan_speedup = bp.0 / gp.0.max(f64::MIN_POSITIVE);
     eprintln!(
-        "perfsuite: grid at n={stations}: {build_speedup:.1}x build, {plan_speedup:.1}x plan, {grid_stored}/{dense_stored} stored pairs"
+        "perfsuite: grid at n={stations}: {build_speedup:.1}x build, {plan_speedup:.1}x plan, {grid_stored}/{base_stored} stored pairs"
     );
 
-    // The scaling row: plan-only at the METRO-DCF flagship, where the
-    // dense matrix (tens of GB) and the O(n²) pair scan are no longer
+    // The scaling row: plan-only at the METRO-DCF flagship, where
+    // full rows (hundreds of GB) and the O(n²) pair scan are no longer
     // an option. The grid planner is the only way to get a partition
     // at this size; the row records that it stays tractable.
     let (mrows, mcols, msenders, mduration) = *metro_dcf_sweep().last().expect("sweep non-empty");
@@ -685,9 +692,15 @@ fn grid_section() -> String {
         metro_plan.shards.len()
     );
 
+    let side = |(med, lo, hi): (f64, f64, f64)| {
+        format!("\"wall_s\": {med:.3}, \"min_s\": {lo:.3}, \"max_s\": {hi:.3}")
+    };
     format!(
-        "  \"grid\": {{\n    \"workload\": \"CITY-DCF planning world rows={rows} cols={cols} senders_per_cell={senders} seed={SEED} ({stations} stations), grid vs dense, live in-process\",\n    \"cache_build\": {{\n      \"grid\": {{ \"wall_s\": {grid_build_s:.3}, \"stored_pairs\": {grid_stored} }},\n      \"dense\": {{ \"wall_s\": {dense_build_s:.3}, \"stored_pairs\": {dense_stored} }},\n      \"speedup\": {build_speedup:.2}\n    }},\n    \"shard_plan\": {{\n      \"grid\": {{ \"wall_s\": {grid_plan_s:.3} }},\n      \"exhaustive\": {{ \"wall_s\": {dense_plan_s:.3} }},\n      \"shards\": {},\n      \"identical_partition\": true,\n      \"speedup\": {plan_speedup:.2}\n    }},\n    \"metro_plan_only\": {{\n      \"note\": \"grid planner at the METRO-DCF flagship; the dense paths are infeasible at this size\",\n      \"stations\": {metro_stations},\n      \"shards\": {},\n      \"wall_s\": {metro_plan_s:.3}\n    }},\n    \"speedup_verdict\": \"grid over dense, single-threaded, measured live at n={stations}\"\n  }}\n",
-        grid_plan.shards.len(),
+        "  \"grid\": {{\n    \"workload\": \"CITY-DCF planning world rows={rows} cols={cols} senders_per_cell={senders} seed={SEED} ({stations} stations), grid vs no-grid (identical log-distance closure via set_loss_model_static), live in-process\",\n    \"repeats\": {GRID_REPEATS},\n    \"cache_build\": {{\n      \"grid\": {{ {}, \"stored_pairs\": {grid_stored} }},\n      \"no_grid\": {{ {}, \"stored_pairs\": {base_stored} }},\n      \"speedup\": {build_speedup:.2}\n    }},\n    \"shard_plan\": {{\n      \"grid\": {{ {} }},\n      \"exhaustive\": {{ {} }},\n      \"shards\": {shards},\n      \"identical_partition\": true,\n      \"speedup\": {plan_speedup:.2}\n    }},\n    \"metro_plan_only\": {{\n      \"note\": \"grid planner at the METRO-DCF flagship; the no-grid paths are infeasible at this size\",\n      \"stations\": {metro_stations},\n      \"shards\": {},\n      \"wall_s\": {metro_plan_s:.3}\n    }},\n    \"speedup_verdict\": \"grid over no-grid medians of {GRID_REPEATS} alternating runs, single-threaded, measured live at n={stations}\"\n  }}\n",
+        side(gb),
+        side(bb),
+        side(gp),
+        side(bp),
         metro_plan.shards.len(),
     )
 }

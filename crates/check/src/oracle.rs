@@ -306,12 +306,12 @@ impl Invariant for ShardCoherence {
 /// slice boundary the runner checks the grid's structural invariants
 /// against the live position table (each station in exactly one cell,
 /// the cell its position hashes to, membership sorted) and re-derives
-/// every sparse neighbor-row entry from the link budget — including
+/// every grid-backed neighbor-row entry from the link budget — including
 /// the soundness claim that every pair the grid *omitted* is below
 /// the carrier-sense floor (`WlanWorld::grid_incoherence`). A stale
 /// cell after a mobility patch, or an audible pair the 27-cell
 /// neighborhood missed, surfaces here instead of silently deafening a
-/// station. Vacuous on dense (grid-off or anisotropic) worlds.
+/// station. Vacuous on worlds the grid cannot index (anisotropic loss).
 pub struct GridCoherence;
 
 impl Invariant for GridCoherence {

@@ -20,13 +20,14 @@ use crate::scenario::{
 use wn_mac80211::addr::MacAddr;
 use wn_mac80211::frame::{DsBits, Frame, SequenceControl, Subtype};
 use wn_mac80211::sim::{
-    boot as wlan_boot, inject_at, qos_inject_at, AccessCategory, MacConfig, StationStats, UpperCtx,
-    UpperLayer, WlanWorld,
+    boot as wlan_boot, inject_at, qos_inject_at, AccessCategory, MacConfig, NullUpper,
+    StationStats, UpperCtx, UpperLayer, WlanWorld,
 };
 use wn_net80211::builder::{schedule_walk, EssBuilder};
 use wn_net80211::sta::StaConfig;
 use wn_net80211::Ssid;
 use wn_phy::geom::Point;
+use wn_phy::modulation::PhyStandard;
 use wn_phy::units::Dbm;
 use wn_sim::par::par_map_with;
 use wn_sim::stats::fnv1a;
@@ -79,11 +80,11 @@ pub struct WlanFacts {
     pub shard_coherence: Vec<String>,
     /// Spatial-grid incoherences sampled at the same slice boundaries:
     /// the grid's structural invariants (cell membership vs live
-    /// positions) plus the sparse neighbor rows' stored-vs-fresh
+    /// positions) plus the grid-backed neighbor rows' stored-vs-fresh
     /// check, which includes the soundness claim that every pair the
     /// grid omitted is below the carrier-sense floor. Always empty on
-    /// dense (grid-off or anisotropic) worlds; the `grid-coherence`
-    /// oracle reports anything else.
+    /// worlds the grid cannot index (anisotropic loss); the
+    /// `grid-coherence` oracle reports anything else.
     pub grid_coherence: Vec<String>,
     /// EDCA was on (QoS corpus) — gates the QoS oracles.
     pub edca: bool,
@@ -202,23 +203,9 @@ pub fn run_scenario_with(sc: &Scenario, kind: SchedulerKind) -> Artifacts {
 /// the dual-scheduler mode does for queue back ends. Non-WLAN worlds
 /// have no such cache; the flag is ignored for them.
 pub fn run_scenario_opts(sc: &Scenario, kind: SchedulerKind, neighbor_cache: bool) -> Artifacts {
-    run_scenario_grid(sc, kind, neighbor_cache, true)
-}
-
-/// [`run_scenario_opts`] with an explicit spatial-grid-index switch.
-/// Grid-backed (sparse-row, O(n·k)) and exhaustive (dense, O(n²))
-/// scans must be byte-identical — the `--grid-diff` fuzz mode replays
-/// the same seed through both and demands identical fingerprints.
-/// Non-WLAN worlds have no grid; the flag is ignored for them.
-pub fn run_scenario_grid(
-    sc: &Scenario,
-    kind: SchedulerKind,
-    neighbor_cache: bool,
-    grid_index: bool,
-) -> Artifacts {
     match &sc.kind {
-        ScenarioKind::Wlan(w) => run_wlan(sc.seed, w, kind, neighbor_cache, grid_index),
-        ScenarioKind::Ess(e) => run_ess(sc.seed, e, kind, neighbor_cache, grid_index),
+        ScenarioKind::Wlan(w) => run_wlan(sc.seed, w, kind, neighbor_cache),
+        ScenarioKind::Ess(e) => run_ess(sc.seed, e, kind, neighbor_cache),
         ScenarioKind::Bluetooth(b) => run_bt(b, kind),
         ScenarioKind::Zigbee(z) => run_zigbee(sc.seed, z, kind),
         ScenarioKind::Wman(w) => run_wman(w, kind),
@@ -345,17 +332,10 @@ pub(crate) fn wlan_ac_of(g: usize, k: u64) -> AccessCategory {
     AccessCategory::from_index((g + k as usize) % 4).expect("4 ACs")
 }
 
-fn run_wlan(
-    seed: u64,
-    w: &WlanScenario,
-    kind: SchedulerKind,
-    neighbor_cache: bool,
-    grid_index: bool,
-) -> Artifacts {
+fn run_wlan(seed: u64, w: &WlanScenario, kind: SchedulerKind, neighbor_cache: bool) -> Artifacts {
     let delivered = Arc::new(Mutex::new(Vec::new()));
     let mut world = WlanWorld::new(wlan_config(seed, w));
     world.set_neighbor_cache(neighbor_cache);
-    world.set_grid_index(grid_index);
     world.trace = Trace::new(TRACE_CAPACITY);
     for i in 0..w.total_stations() {
         world.add_station(
@@ -478,15 +458,8 @@ pub(crate) fn build_ess_sim(
     ess.sim
 }
 
-fn run_ess(
-    seed: u64,
-    e: &EssScenario,
-    kind: SchedulerKind,
-    neighbor_cache: bool,
-    grid_index: bool,
-) -> Artifacts {
+fn run_ess(seed: u64, e: &EssScenario, kind: SchedulerKind, neighbor_cache: bool) -> Artifacts {
     let mut sim = build_ess_sim(seed, e, kind, neighbor_cache);
-    sim.world_mut().set_grid_index(grid_index);
     // The execution partition of an ESS is the trivial single shard
     // (see `build_ess_sim`); re-validating it at each slice still
     // catches station-set drift under mobility.
@@ -735,38 +708,6 @@ pub fn check_seed_opts(seed: u64, scheduler: SchedulerKind, neighbor_cache: bool
     check_seed_gen(&ScenarioGen::default(), seed, scheduler, neighbor_cache)
 }
 
-/// [`check_seed`] with an explicit spatial-grid-index switch — the
-/// `--grid-diff` fuzz mode runs every seed once with the grid on
-/// (sparse neighbor rows, grid-backed shard plans) and once off
-/// (exhaustive dense scans) and demands identical fingerprints.
-pub fn check_seed_grid(seed: u64, scheduler: SchedulerKind, grid_index: bool) -> SeedReport {
-    let sc = ScenarioGen::default().scenario(seed);
-    let art = run_scenario_grid(&sc, scheduler, true, grid_index);
-    let violations = run_oracles(&art);
-    SeedReport {
-        seed,
-        summary: sc.summary(),
-        kind: sc.kind_tag(),
-        events: art.trace.events().count(),
-        trace_fnv: fnv1a(art.trace.to_jsonl("fuzz").as_bytes()),
-        metrics_fnv: art.metrics_fnv,
-        violations,
-    }
-}
-
-/// [`check_seed_grid`] over a seed range across `threads` workers.
-pub fn check_range_grid(
-    start: u64,
-    count: u64,
-    threads: usize,
-    grid_index: bool,
-) -> Vec<SeedReport> {
-    let seeds: Vec<u64> = (start..start + count).collect();
-    par_map_with(threads, seeds, move |seed| {
-        check_seed_grid(seed, SchedulerKind::default(), grid_index)
-    })
-}
-
 /// [`check_seed_opts`] under an explicit scenario generator — how the
 /// `--qos` corpus and the fail-point self-tests run seeds.
 pub fn check_seed_gen(
@@ -870,4 +811,85 @@ pub fn range_digest_with(
         ));
     }
     out
+}
+
+/// Pair spacings of the multi-cell line worlds, in units of the
+/// audible reach: from neighborhoods that overlap (0.6×) to pairs two
+/// grid cells apart (2.2×).
+pub const LINE_WORLD_SPACINGS: [f64; 4] = [0.6, 1.1, 1.6, 2.2];
+
+/// One multi-cell line-world run: what the cached and direct
+/// propagation paths must agree on byte for byte.
+pub struct LineRun {
+    /// Events the engine processed.
+    pub processed: u64,
+    /// Full trace JSONL.
+    pub trace_jsonl: String,
+    /// End-of-run metrics snapshot JSONL.
+    pub metrics_jsonl: String,
+    /// Station count.
+    pub stations: usize,
+    /// `(grid-indexed, stored pairs)` of the neighbor cache, `None`
+    /// on the direct path.
+    pub cache: Option<(bool, usize)>,
+}
+
+/// A world the fuzz corpus cannot produce: 8 IBSS sender→receiver
+/// pairs (20 m apart within a pair) on a line, `spacing` audible
+/// reaches apart, each sender offering a 1500 B frame every 300 µs
+/// for 200 ms (Dot11g, seed 3). From about 1× spacing on, stations
+/// fall out of each other's grid neighborhoods yet can still
+/// interfere above the noise floor — the terms the interference sum
+/// fills in on demand.
+pub fn line_world_run(spacing: f64, neighbor_cache: bool) -> LineRun {
+    const PAIRS: usize = 8;
+    const HORIZON_US: u64 = 200_000;
+    let mut cfg = MacConfig::new(PhyStandard::Dot11g);
+    cfg.seed = 3;
+    let reach = {
+        let mut probe = WlanWorld::new(cfg.clone());
+        probe.add_stations(1, |_| Point::new(0.0, 0.0), |_| Box::new(NullUpper));
+        probe
+            .audible_reach_m(SimTime::ZERO)
+            .expect("log-distance reach is finite")
+    };
+    let mut world = WlanWorld::new(cfg);
+    world.set_neighbor_cache(neighbor_cache);
+    world.trace = Trace::new(TRACE_CAPACITY);
+    world.add_stations(
+        2 * PAIRS,
+        |i| {
+            Point::new(
+                (i / 2) as f64 * spacing * reach + (i % 2) as f64 * 20.0,
+                0.0,
+            )
+        },
+        |_| Box::new(NullUpper),
+    );
+    let mut sim = Simulation::new(world);
+    wlan_boot(&mut sim);
+    for t in (0..HORIZON_US).step_by(300) {
+        for p in 0..PAIRS {
+            let (tx, rx) = (2 * p, 2 * p + 1);
+            let frame = Frame::data(
+                DsBits::Ibss,
+                MacAddr::station(rx as u32),
+                MacAddr::station(tx as u32),
+                MacAddr::random_ibss_bssid(1),
+                SequenceControl::default(),
+                vec![0x5A; 1500],
+            );
+            inject_at(&mut sim, SimTime::from_micros(t), tx, frame);
+        }
+    }
+    let end = SimTime::from_micros(HORIZON_US);
+    sim.run_until(end);
+    let world = sim.world();
+    LineRun {
+        processed: sim.processed(),
+        trace_jsonl: world.trace.to_jsonl("line"),
+        metrics_jsonl: world.metrics_snapshot(end).to_jsonl("line"),
+        stations: world.station_count(),
+        cache: world.neighbor_cache_stats(),
+    }
 }

@@ -1,7 +1,7 @@
 //! Uniform spatial hash grid over station positions.
 //!
 //! Every position-driven scan in this crate used to be O(n) or O(n²):
-//! [`crate::neighbors::NeighborCache::build`] filled an n×n matrix,
+//! the neighbor cache filled an n×n matrix,
 //! [`crate::sim::WlanWorld::shard_plan`] compared every pair, and a
 //! mobility patch touched every row. The grid cuts each of those to the
 //! stations that can possibly matter: with the cell edge at least the

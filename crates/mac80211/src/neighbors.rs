@@ -12,13 +12,13 @@
 //!   plus, per transmitter, the sorted list of stations that can hear
 //!   it at the carrier-sense threshold. Static topologies compute
 //!   propagation once; mobility dirties only the moved station's row
-//!   and column. Rows come in two representations: *dense* (an entry
-//!   for every station, the original n×n matrix) and *sparse* (entries
-//!   only for the stations a [`crate::grid::SpatialGrid`] neighborhood
-//!   query returns — everyone within one cell edge, a superset of
-//!   audibility when the cell edge is at least the maximum audible
-//!   range). Sparse mode turns an O(n²) build into O(n·k) and a
-//!   mobility patch into O(k).
+//!   and its entries in other rows. Every row is *keyed*: it stores
+//!   entries for a sorted neighborhood of its transmitter — the
+//!   stations a [`crate::grid::SpatialGrid`] 27-cell query returns
+//!   (everyone within one cell edge, a superset of audibility when the
+//!   cell edge is at least the maximum audible range), or every other
+//!   station when the world cannot be grid-indexed. Grid neighborhoods
+//!   turn an O(n²) build into O(n·k) and a mobility patch into O(k).
 //! - [`AudibleSet`] — the per-station set of in-flight transmission
 //!   ids, with O(1) insert and O(members) removal instead of the old
 //!   `Vec::retain` full scan.
@@ -31,17 +31,16 @@
 //! is *raw* co-channel power against the CS threshold, a superset of
 //! what any receiver on an overlapping channel can hear after the
 //! spectral-mask discount, so per-member awake/channel/leak checks in
-//! the MAC stay exactly where they were. A sparse row's omissions are
-//! sound the same way: an omitted station is beyond one grid cell
-//! edge, hence below the carrier-sense floor by construction, so every
-//! threshold decision reads the same answer from the −∞ it gets back;
-//! its (sub-CS) power no longer enters interference sums, which is
-//! bit-identical whenever the deployment fits within one neighborhood
-//! span (every fuzz-corpus world does) and is the documented
-//! interference-truncation semantic beyond that. Rows are `Arc`-shared
-//! copy-on-write: an in-flight transmission snapshots its row at start
-//! time for free, and a mobility update clones the row before writing,
-//! leaving the snapshot untouched.
+//! the MAC stay exactly where they were. A row's omissions are sound
+//! for every threshold decision: an omitted station is beyond one grid
+//! cell edge, hence below the carrier-sense floor by construction, and
+//! reads back as −∞. Interference sums are a different matter — energy
+//! between the noise floor and the carrier-sense floor still lowers
+//! SINR — so the reception path fills the omitted terms on demand
+//! ([`RxRow::fill_missing`]) and the sum stays the direct path's.
+//! Rows are `Arc`-shared copy-on-write: an in-flight transmission
+//! snapshots its row at start time for free, and a mobility update
+//! clones the row before writing, leaving the snapshot untouched.
 
 use std::sync::Arc;
 
@@ -49,40 +48,41 @@ use crate::sim::StationId;
 use wn_phy::units::Dbm;
 
 /// One transmitter's received-power row, as snapshotted by an
-/// in-flight transmission record: power at every station in dBm plus
-/// the bit-exact linear-milliwatt mirror used by interference sums.
+/// in-flight transmission record.
 ///
-/// Dense rows (`keys == None`) index directly by station id and carry
-/// the +inf diagonal the original matrix had; the mW mirror is absent
-/// only on the uncached direct path, which converts per entry exactly
-/// as the pre-cache code did. Sparse rows store entries for the sorted
-/// `keys` subset only (self excluded) and answer −∞ for everyone else
-/// — omitted stations are below the carrier-sense floor by grid
-/// construction.
+/// Cached rows store entries for their sorted keys only (self
+/// excluded), with the bit-exact linear-milliwatt mirror the
+/// interference sums use, and answer −∞ for everyone else — omitted
+/// stations are below the carrier-sense floor by grid construction.
+/// The uncached direct path carries a full row indexed by station id
+/// (with a +inf diagonal) and converts per entry exactly as the
+/// pre-cache code did.
 #[derive(Clone)]
-pub struct RxRow {
-    keys: Option<Arc<Vec<StationId>>>,
-    dbm: Arc<Vec<Dbm>>,
-    mw: Option<Arc<Vec<f64>>>,
+pub struct RxRow(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Keyed {
+        keys: Arc<Vec<StationId>>,
+        dbm: Arc<Vec<Dbm>>,
+        mw: Arc<Vec<f64>>,
+    },
+    Full(Arc<Vec<Dbm>>),
 }
 
 impl RxRow {
-    /// A dense row; `mw` is `None` on the uncached direct path.
-    pub fn dense(dbm: Arc<Vec<Dbm>>, mw: Option<Arc<Vec<f64>>>) -> Self {
-        RxRow {
-            keys: None,
-            dbm,
-            mw,
-        }
+    /// The direct path's full row: power at every station, by id.
+    pub fn full(dbm: Vec<Dbm>) -> Self {
+        RxRow(Repr::Full(Arc::new(dbm)))
     }
 
-    /// Received power at `dst`; −∞ for entries a sparse row omits
+    /// Received power at `dst`; −∞ for entries a keyed row omits
     /// (beyond the grid neighborhood, hence below the CS floor).
     pub fn get(&self, dst: StationId) -> Dbm {
-        match &self.keys {
-            None => self.dbm[dst],
-            Some(k) => match k.binary_search(&dst) {
-                Ok(i) => self.dbm[i],
+        match &self.0 {
+            Repr::Full(dbm) => dbm[dst],
+            Repr::Keyed { keys, dbm, .. } => match keys.binary_search(&dst) {
+                Ok(i) => dbm[i],
                 Err(_) => Dbm(f64::NEG_INFINITY),
             },
         }
@@ -90,17 +90,14 @@ impl RxRow {
 
     /// [`get`](Self::get) for ascending `dst` sequences: `cursor`
     /// (starting at 0 for each fresh sequence) advances monotonically
-    /// through a sparse row's keys, making a whole candidates sweep
-    /// O(k) instead of O(c·log k). Dense rows ignore the cursor.
+    /// through a keyed row, making a whole candidates sweep O(k)
+    /// instead of O(c·log k). Full rows ignore the cursor.
     pub fn get_seq(&self, dst: StationId, cursor: &mut usize) -> Dbm {
-        match &self.keys {
-            None => self.dbm[dst],
-            Some(k) => {
-                while *cursor < k.len() && k[*cursor] < dst {
-                    *cursor += 1;
-                }
-                if *cursor < k.len() && k[*cursor] == dst {
-                    self.dbm[*cursor]
+        match &self.0 {
+            Repr::Full(dbm) => dbm[dst],
+            Repr::Keyed { keys, dbm, .. } => {
+                if seek(keys, dst, cursor) {
+                    dbm[*cursor]
                 } else {
                     Dbm(f64::NEG_INFINITY)
                 }
@@ -108,67 +105,84 @@ impl RxRow {
         }
     }
 
-    /// Adds this row's linear-milliwatt image into `acc` (full
-    /// spectral overlap), preserving the exact float semantics of the
-    /// pre-sparse code: cached dense rows add the memoized mirror
-    /// slice-wise; the direct path converts each dBm entry in place.
-    /// Sparse rows add their stored entries at their key slots, in
-    /// ascending key order — each slot still receives at most one term
-    /// per transmission, in the same record order as before.
-    pub fn accumulate_mw(&self, acc: &mut [f64]) {
-        match (&self.keys, &self.mw) {
-            (None, Some(mw)) => {
-                for (a, m) in acc.iter_mut().zip(mw.iter()) {
-                    *a += m;
-                }
-            }
-            (None, None) => {
-                for (a, p) in acc.iter_mut().zip(self.dbm.iter()) {
-                    *a += p.to_milliwatts();
-                }
-            }
-            (Some(keys), Some(mw)) => {
+    /// Adds this row's linear-milliwatt image into `acc`, every entry
+    /// discounted by `shift` dB for a fractional spectral overlap,
+    /// preserving the exact float semantics of the pre-cache code:
+    /// keyed rows add at their key slots, in ascending key order —
+    /// each slot receives at most one term per transmission, in the
+    /// same record order as before — from the memoized mirror at full
+    /// overlap; the direct path converts each dBm entry in place.
+    pub fn accumulate_mw(&self, shift: Option<f64>, acc: &mut [f64]) {
+        match (&self.0, shift) {
+            (Repr::Keyed { keys, mw, .. }, None) => {
                 for (&k, &m) in keys.iter().zip(mw.iter()) {
                     acc[k] += m;
                 }
             }
-            (Some(keys), None) => {
-                for (&k, &p) in keys.iter().zip(self.dbm.iter()) {
-                    acc[k] += p.to_milliwatts();
+            (Repr::Keyed { keys, dbm, .. }, Some(shift)) => {
+                for (&k, &p) in keys.iter().zip(dbm.iter()) {
+                    acc[k] += Dbm(p.value() + shift).to_milliwatts();
+                }
+            }
+            (Repr::Full(dbm), None) => {
+                for (a, p) in acc.iter_mut().zip(dbm.iter()) {
+                    *a += p.to_milliwatts();
+                }
+            }
+            (Repr::Full(dbm), Some(shift)) => {
+                for (a, p) in acc.iter_mut().zip(dbm.iter()) {
+                    *a += Dbm(p.value() + shift).to_milliwatts();
                 }
             }
         }
     }
 
-    /// Fractional-overlap variant of [`accumulate_mw`](Self::accumulate_mw):
-    /// every entry is discounted by `shift` dB before conversion,
-    /// exactly as the uncached path computed it.
-    pub fn accumulate_shifted_mw(&self, shift: f64, acc: &mut [f64]) {
-        match &self.keys {
-            None => {
-                for (a, p) in acc.iter_mut().zip(self.dbm.iter()) {
-                    *a += Dbm(p.value() + shift).to_milliwatts();
-                }
-            }
-            Some(keys) => {
-                for (&k, &p) in keys.iter().zip(self.dbm.iter()) {
-                    acc[k] += Dbm(p.value() + shift).to_milliwatts();
-                }
+    /// Completes an interference sum over the stations this row omits:
+    /// for every `dst` in the ascending `candidates` (other than the
+    /// transmitter `src`) that the row stores no entry for,
+    /// `acc[dst] += term(dst)`. Called right after the row's own
+    /// accumulate, so every slot still receives exactly one term per
+    /// record, in record order — the float sum the direct path
+    /// computes. A row covering all `acc.len() − 1` other stations
+    /// returns after one length comparison.
+    pub fn fill_missing(
+        &self,
+        src: StationId,
+        candidates: &[StationId],
+        acc: &mut [f64],
+        mut term: impl FnMut(StationId) -> f64,
+    ) {
+        let Repr::Keyed { keys, .. } = &self.0 else {
+            return;
+        };
+        if keys.len() + 1 >= acc.len() {
+            return;
+        }
+        let mut cursor = 0;
+        for &dst in candidates {
+            if dst != src && !seek(keys, dst, &mut cursor) {
+                acc[dst] += term(dst);
             }
         }
     }
 }
 
+/// Advances `cursor` through the sorted `keys` to the first key not
+/// below `dst`; reports whether that key is `dst`.
+fn seek(keys: &[StationId], dst: StationId, cursor: &mut usize) -> bool {
+    while *cursor < keys.len() && keys[*cursor] < dst {
+        *cursor += 1;
+    }
+    *cursor < keys.len() && keys[*cursor] == dst
+}
+
 /// Pairwise rx-power cache with per-transmitter audible-neighbor lists.
 ///
-/// Dense mode (`keys == None`): `rows[src][dst]` is the raw received
-/// power at `dst` of a transmission from `src` (the diagonal is +inf:
-/// a station trivially "hears" itself at any threshold, and the MAC
-/// skips it explicitly). Sparse mode (`keys == Some`): `rows[src][i]`
-/// is the power at `keys[src][i]`, the sorted grid neighborhood of
-/// `src` with `src` itself excluded — stations beyond the neighborhood
-/// are below the carrier-sense floor by construction and read back as
-/// −∞. `mw_rows` mirrors `rows` in linear milliwatts
+/// `rows[src][i]` is the raw received power at `keys[src][i]` of a
+/// transmission from `src`, where `keys[src]` is the sorted
+/// neighborhood of `src` with `src` itself excluded — stations beyond
+/// the neighborhood are below the carrier-sense floor by construction
+/// and read back as −∞. `mw_rows` mirrors `rows` in linear milliwatts
 /// (`Dbm::to_milliwatts` of the same entry, bit for bit) — the
 /// interference sums in the reception path run in the linear domain,
 /// and memoizing the dB→mW conversion is where most of the
@@ -178,7 +192,7 @@ impl RxRow {
 /// stored keys.
 #[derive(Default)]
 pub struct NeighborCache {
-    keys: Option<Vec<Arc<Vec<StationId>>>>,
+    keys: Vec<Arc<Vec<StationId>>>,
     rows: Vec<Arc<Vec<Dbm>>>,
     mw_rows: Vec<Arc<Vec<f64>>>,
     audible: Vec<Arc<Vec<StationId>>>,
@@ -190,78 +204,35 @@ impl NeighborCache {
         Self::default()
     }
 
-    /// Whether [`build`](Self::build) or
-    /// [`build_sparse`](Self::build_sparse) has run since the last
+    /// Whether [`build`](Self::build) has run since the last
     /// [`clear`](Self::clear).
     pub fn is_built(&self) -> bool {
         !self.rows.is_empty()
     }
 
-    /// Whether the cache holds sparse grid-backed rows.
-    pub fn is_sparse(&self) -> bool {
-        self.keys.is_some()
-    }
-
-    /// Total stored pair entries — n·(n−1) in dense mode, the sum of
-    /// neighborhood sizes in sparse mode (what the grid saved).
+    /// Total stored pair entries — the sum of neighborhood sizes
+    /// (n·(n−1) when every row covers the whole world).
     pub fn stored_entries(&self) -> usize {
-        match &self.keys {
-            Some(keys) => keys.iter().map(|k| k.len()).sum(),
-            None => {
-                let n = self.rows.len();
-                n.saturating_mul(n.saturating_sub(1))
-            }
-        }
+        self.keys.iter().map(|k| k.len()).sum()
     }
 
     /// Drops all cached state (topology-shaping setup calls, e.g. a
     /// radio swap, call this; the next use rebuilds).
     pub fn clear(&mut self) {
-        self.keys = None;
+        self.keys.clear();
         self.rows.clear();
         self.mw_rows.clear();
         self.audible.clear();
     }
 
-    /// Builds the full dense matrix for `n` stations from
-    /// `power(src, dst)`, marking `dst` audible from `src` when the
-    /// raw power meets `cs`.
-    pub fn build(&mut self, n: usize, cs: Dbm, mut power: impl FnMut(StationId, StationId) -> Dbm) {
-        self.clear();
-        self.rows.reserve(n);
-        self.mw_rows.reserve(n);
-        self.audible.reserve(n);
-        for src in 0..n {
-            let mut row = Vec::with_capacity(n);
-            let mut mw = Vec::with_capacity(n);
-            let mut aud = Vec::new();
-            for dst in 0..n {
-                if dst == src {
-                    row.push(Dbm(f64::INFINITY));
-                    mw.push(f64::INFINITY);
-                    continue;
-                }
-                let p = power(src, dst);
-                if p.value() >= cs.value() {
-                    aud.push(dst);
-                }
-                row.push(p);
-                mw.push(p.to_milliwatts());
-            }
-            self.rows.push(Arc::new(row));
-            self.mw_rows.push(Arc::new(mw));
-            self.audible.push(Arc::new(aud));
-        }
-    }
-
-    /// Builds sparse grid-backed rows for `n` stations: for each
-    /// `src`, `neighbors_of(src, &mut scratch)` must append the sorted
-    /// candidate set (typically a 27-cell grid neighborhood; `src`
-    /// itself may be included and is skipped). Only those pairs are
-    /// evaluated and stored — O(n·k) instead of O(n²). Soundness is
-    /// the caller's contract: every station outside the candidate set
-    /// must be below `cs` from `src`.
-    pub fn build_sparse(
+    /// Builds keyed rows for `n` stations: for each `src`,
+    /// `neighbors_of(src, &mut scratch)` must append the sorted
+    /// candidate set (a 27-cell grid neighborhood, or all of `0..n`;
+    /// `src` itself may be included and is skipped). Only those pairs
+    /// are evaluated and stored — O(n·k) for grid neighborhoods.
+    /// Soundness is the caller's contract: every station outside the
+    /// candidate set must be below `cs` from `src`.
+    pub fn build(
         &mut self,
         n: usize,
         cs: Dbm,
@@ -269,10 +240,10 @@ impl NeighborCache {
         mut neighbors_of: impl FnMut(StationId, &mut Vec<StationId>),
     ) {
         self.clear();
-        let mut keys = Vec::with_capacity(n);
-        self.rows.reserve(n);
-        self.mw_rows.reserve(n);
-        self.audible.reserve(n);
+        self.keys.resize(n, Arc::default());
+        self.rows.resize(n, Arc::default());
+        self.mw_rows.resize(n, Arc::default());
+        self.audible.resize(n, Arc::default());
         let mut scratch = Vec::new();
         for src in 0..n {
             scratch.clear();
@@ -281,106 +252,25 @@ impl NeighborCache {
                 scratch.windows(2).all(|w| w[0] < w[1]),
                 "neighborhood for {src} not sorted/unique"
             );
-            let mut ks = Vec::with_capacity(scratch.len());
-            let mut row = Vec::with_capacity(scratch.len());
-            let mut mw = Vec::with_capacity(scratch.len());
-            let mut aud = Vec::new();
-            for &dst in &scratch {
-                if dst == src {
-                    continue;
-                }
-                let p = power(src, dst);
-                if p.value() >= cs.value() {
-                    aud.push(dst);
-                }
-                ks.push(dst);
-                row.push(p);
-                mw.push(p.to_milliwatts());
-            }
-            keys.push(Arc::new(ks));
-            self.rows.push(Arc::new(row));
-            self.mw_rows.push(Arc::new(mw));
-            self.audible.push(Arc::new(aud));
-        }
-        self.keys = Some(keys);
-    }
-
-    /// Recomputes one station's row and column after it moved (or
-    /// changed its radio): its own row and audible list are rebuilt
-    /// from scratch, and every other station's entry *to* it is
-    /// patched in place, maintaining the sorted audible lists by
-    /// binary search. Rows shared with in-flight transmission records
-    /// are cloned before writing (copy-on-write), so those records
-    /// keep their start-time snapshot. Dense mode only — sparse caches
-    /// patch via [`rebuild_station_sparse`](Self::rebuild_station_sparse).
-    pub fn rebuild_station(
-        &mut self,
-        id: StationId,
-        cs: Dbm,
-        mut power: impl FnMut(StationId, StationId) -> Dbm,
-    ) {
-        let n = self.rows.len();
-        debug_assert!(id < n, "rebuild_station on an unbuilt cache");
-        debug_assert!(self.keys.is_none(), "dense rebuild on a sparse cache");
-        let mut row = Vec::with_capacity(n);
-        let mut mw = Vec::with_capacity(n);
-        let mut aud = Vec::new();
-        for dst in 0..n {
-            if dst == id {
-                row.push(Dbm(f64::INFINITY));
-                mw.push(f64::INFINITY);
-                continue;
-            }
-            let p = power(id, dst);
-            if p.value() >= cs.value() {
-                aud.push(dst);
-            }
-            row.push(p);
-            mw.push(p.to_milliwatts());
-        }
-        self.rows[id] = Arc::new(row);
-        self.mw_rows[id] = Arc::new(mw);
-        self.audible[id] = Arc::new(aud);
-        for src in 0..n {
-            if src == id {
-                continue;
-            }
-            let p = power(src, id);
-            Arc::make_mut(&mut self.rows[src])[id] = p;
-            Arc::make_mut(&mut self.mw_rows[src])[id] = p.to_milliwatts();
-            let hears = p.value() >= cs.value();
-            self.patch_audible(src, id, hears);
+            self.set_row(src, cs, &mut power, &scratch);
         }
     }
 
-    /// Sparse-mode mobility patch: the moved station's row is rebuilt
-    /// over `new_keys` (its sorted post-move neighborhood, `id`
-    /// excluded), every station in `new_keys` gains or refreshes its
-    /// entry *to* `id`, and every station in `stale` (the pre-move
-    /// neighborhood minus the post-move one) drops its entry — O(k)
-    /// where the dense patch was O(n). Copy-on-write discipline is the
-    /// same as [`rebuild_station`](Self::rebuild_station): the keys,
-    /// powers and milliwatt mirror of a patched row always change
-    /// together, so an in-flight snapshot stays internally consistent.
-    pub fn rebuild_station_sparse(
+    /// Replaces `src`'s row and audible list with fresh evaluations
+    /// over the sorted `keys` (`src` itself skipped).
+    fn set_row(
         &mut self,
-        id: StationId,
+        src: StationId,
         cs: Dbm,
-        mut power: impl FnMut(StationId, StationId) -> Dbm,
-        new_keys: &[StationId],
-        stale: &[StationId],
+        power: &mut impl FnMut(StationId, StationId) -> Dbm,
+        keys: &[StationId],
     ) {
-        debug_assert!(self.keys.is_some(), "sparse rebuild on a dense cache");
-        debug_assert!(new_keys.windows(2).all(|w| w[0] < w[1]));
-        let mut ks = Vec::with_capacity(new_keys.len());
-        let mut row = Vec::with_capacity(new_keys.len());
-        let mut mw = Vec::with_capacity(new_keys.len());
+        let mut ks = Vec::with_capacity(keys.len());
+        let mut row = Vec::with_capacity(keys.len());
+        let mut mw = Vec::with_capacity(keys.len());
         let mut aud = Vec::new();
-        for &dst in new_keys {
-            if dst == id {
-                continue;
-            }
-            let p = power(id, dst);
+        for &dst in keys.iter().filter(|&&dst| dst != src) {
+            let p = power(src, dst);
             if p.value() >= cs.value() {
                 aud.push(dst);
             }
@@ -388,26 +278,47 @@ impl NeighborCache {
             row.push(p);
             mw.push(p.to_milliwatts());
         }
-        let keys = self.keys.as_mut().expect("checked sparse");
-        keys[id] = Arc::new(ks);
-        self.rows[id] = Arc::new(row);
-        self.mw_rows[id] = Arc::new(mw);
-        self.audible[id] = Arc::new(aud);
+        self.keys[src] = Arc::new(ks);
+        self.rows[src] = Arc::new(row);
+        self.mw_rows[src] = Arc::new(mw);
+        self.audible[src] = Arc::new(aud);
+    }
 
+    /// Mobility patch after station `id` moved (or changed its radio):
+    /// its row is rebuilt over `new_keys` (its sorted post-move
+    /// neighborhood; `id` itself is skipped), every station in
+    /// `new_keys` gains or refreshes its entry *to* `id`, and every
+    /// station in `stale` (the pre-move neighborhood minus the
+    /// post-move one) drops its entry — O(k) for grid neighborhoods.
+    /// Rows shared with in-flight transmission records are cloned
+    /// before writing (copy-on-write), and the keys, powers and
+    /// milliwatt mirror of a patched row always change together, so
+    /// those records keep an internally consistent start-time
+    /// snapshot.
+    pub fn rebuild_station(
+        &mut self,
+        id: StationId,
+        cs: Dbm,
+        mut power: impl FnMut(StationId, StationId) -> Dbm,
+        new_keys: &[StationId],
+        stale: &[StationId],
+    ) {
+        debug_assert!(id < self.rows.len(), "rebuild_station on an unbuilt cache");
+        debug_assert!(new_keys.windows(2).all(|w| w[0] < w[1]));
+        self.set_row(id, cs, &mut power, new_keys);
         for &src in new_keys {
             if src == id {
                 continue;
             }
             let p = power(src, id);
-            let keys = self.keys.as_mut().expect("checked sparse");
-            match keys[src].binary_search(&id) {
+            match self.keys[src].binary_search(&id) {
                 Ok(i) => {
                     // Entry exists: refresh the value in place.
                     Arc::make_mut(&mut self.rows[src])[i] = p;
                     Arc::make_mut(&mut self.mw_rows[src])[i] = p.to_milliwatts();
                 }
                 Err(i) => {
-                    Arc::make_mut(&mut keys[src]).insert(i, id);
+                    Arc::make_mut(&mut self.keys[src]).insert(i, id);
                     Arc::make_mut(&mut self.rows[src]).insert(i, p);
                     Arc::make_mut(&mut self.mw_rows[src]).insert(i, p.to_milliwatts());
                 }
@@ -418,9 +329,8 @@ impl NeighborCache {
             if src == id {
                 continue;
             }
-            let keys = self.keys.as_mut().expect("checked sparse");
-            if let Ok(i) = keys[src].binary_search(&id) {
-                Arc::make_mut(&mut keys[src]).remove(i);
+            if let Ok(i) = self.keys[src].binary_search(&id) {
+                Arc::make_mut(&mut self.keys[src]).remove(i);
                 Arc::make_mut(&mut self.rows[src]).remove(i);
                 Arc::make_mut(&mut self.mw_rows[src]).remove(i);
             }
@@ -441,14 +351,13 @@ impl NeighborCache {
         }
     }
 
-    /// The cached power row for `src` (shared, copy-on-write), in
-    /// whichever representation the cache was built with.
+    /// The cached power row for `src` (shared, copy-on-write).
     pub fn row(&self, src: StationId) -> RxRow {
-        RxRow {
-            keys: self.keys.as_ref().map(|k| Arc::clone(&k[src])),
+        RxRow(Repr::Keyed {
+            keys: Arc::clone(&self.keys[src]),
             dbm: Arc::clone(&self.rows[src]),
-            mw: Some(Arc::clone(&self.mw_rows[src])),
-        }
+            mw: Arc::clone(&self.mw_rows[src]),
+        })
     }
 
     /// The sorted audible-neighbor list for `src` (shared).
@@ -458,11 +367,11 @@ impl NeighborCache {
 
     /// Verifies every cached entry (powers and audible lists) against
     /// a fresh evaluation — the oracle behind the mobility-invalidation
-    /// property test and the grid-coherence fuzz oracle. In sparse
-    /// mode an *absent* pair is coherent only if its fresh power is
-    /// below `cs` (the grid's soundness claim) and it is not listed
-    /// audible; such a violation reports the −∞ the row would answer.
-    /// Returns the first mismatch as `(src, dst, cached, fresh)`.
+    /// property test and the grid-coherence fuzz oracle. An *absent*
+    /// pair is coherent only if its fresh power is below `cs` (the
+    /// grid's soundness claim) and it is not listed audible; such a
+    /// violation reports the −∞ the row would answer. Returns the
+    /// first mismatch as `(src, dst, cached, fresh)`.
     pub fn find_incoherence(
         &self,
         cs: Dbm,
@@ -470,37 +379,25 @@ impl NeighborCache {
     ) -> Option<(StationId, StationId, Dbm, Dbm)> {
         let n = self.rows.len();
         for src in 0..n {
-            let row = self.row(src);
             for dst in 0..n {
                 if dst == src {
                     continue;
                 }
                 let fresh = power(src, dst);
-                let cached = row.get(dst);
                 let listed = self.audible[src].binary_search(&dst).is_ok();
-                let stored = match &self.keys {
-                    None => true,
-                    Some(keys) => keys[src].binary_search(&dst).is_ok(),
-                };
-                if !stored {
+                let Ok(i) = self.keys[src].binary_search(&dst) else {
                     // Omitted by the grid: must be genuinely sub-CS.
                     if fresh.value() >= cs.value() || listed {
-                        return Some((src, dst, cached, fresh));
+                        return Some((src, dst, Dbm(f64::NEG_INFINITY), fresh));
                     }
                     continue;
-                }
+                };
                 // The mw mirror must stay bit-identical to the dBm
                 // entry's conversion, not merely numerically close.
-                let mw_cached = match &self.keys {
-                    None => self.mw_rows[src][dst],
-                    Some(keys) => {
-                        let i = keys[src].binary_search(&dst).expect("stored");
-                        self.mw_rows[src][i]
-                    }
-                };
+                let cached = self.rows[src][i];
                 if cached.value() != fresh.value()
                     || listed != (fresh.value() >= cs.value())
-                    || mw_cached.to_bits() != fresh.to_milliwatts().to_bits()
+                    || self.mw_rows[src][i].to_bits() != fresh.to_milliwatts().to_bits()
                 {
                     return Some((src, dst, cached, fresh));
                 }
@@ -662,19 +559,22 @@ mod tests {
         b.remove(1000); // out of range is a no-op
     }
 
+    fn power(xs: &[f64; 4]) -> impl FnMut(StationId, StationId) -> Dbm + '_ {
+        move |a, b| Dbm(-((xs[a] - xs[b]).abs()) - 40.0)
+    }
+
     #[test]
     fn cache_builds_and_patches_moved_station() {
-        // Powers derived from a mutable "position" table so the test
-        // can move a station and demand row+column patching.
+        // Full-neighborhood rows (what a world the grid cannot index
+        // builds), with powers derived from a mutable "position" table
+        // so the test can move a station and demand row+column
+        // patching.
         let mut xs = [0.0f64, 10.0, 20.0, 80.0];
         let cs = Dbm(-82.0);
-        fn power(xs: &[f64; 4]) -> impl FnMut(StationId, StationId) -> Dbm + '_ {
-            move |a, b| Dbm(-((xs[a] - xs[b]).abs()) - 40.0)
-        }
+        let everyone = [0usize, 1, 2, 3];
         let mut c = NeighborCache::new();
-        c.build(4, cs, power(&xs));
+        c.build(4, cs, power(&xs), |_, out| out.extend(everyone));
         assert!(c.is_built());
-        assert!(!c.is_sparse());
         assert_eq!(c.stored_entries(), 12);
         assert!(c.find_incoherence(cs, power(&xs)).is_none());
         // 0 hears 1 (−50) and 2 (−60) but not 3 (−120).
@@ -685,12 +585,17 @@ mod tests {
         // cache the new — in dBm and in the milliwatt mirror alike.
         let snapshot = c.row(0);
         xs[3] = 5.0;
-        c.rebuild_station(3, cs, power(&xs));
+        c.rebuild_station(3, cs, power(&xs), &everyone, &[]);
+        assert_eq!(c.stored_entries(), 12);
         assert_eq!(snapshot.get(3), Dbm(-120.0));
         assert_eq!(c.row(0).get(3), Dbm(-45.0));
         let mut mw = vec![0.0; 4];
-        snapshot.accumulate_mw(&mut mw);
+        snapshot.accumulate_mw(None, &mut mw);
         assert_eq!(mw[3].to_bits(), Dbm(-120.0).to_milliwatts().to_bits());
+        assert_eq!(mw[0], 0.0, "a row never stores its own transmitter");
+        let mut mw = vec![0.0; 4];
+        c.row(0).accumulate_mw(None, &mut mw);
+        assert_eq!(mw[3].to_bits(), Dbm(-45.0).to_milliwatts().to_bits());
         assert_eq!(*c.audible_list(0), vec![1, 2, 3]);
         assert_eq!(*c.audible_list(3), vec![0, 1, 2]);
         assert!(c.find_incoherence(cs, power(&xs)).is_none());
@@ -706,17 +611,13 @@ mod tests {
         // beyond the CS floor, so its omission is sound.
         let mut xs = [0.0f64, 10.0, 20.0, 80.0];
         let cs = Dbm(-75.0);
-        fn power(xs: &[f64; 4]) -> impl FnMut(StationId, StationId) -> Dbm + '_ {
-            move |a, b| Dbm(-((xs[a] - xs[b]).abs()) - 40.0)
-        }
         fn hood(xs: &[f64; 4]) -> impl FnMut(StationId, &mut Vec<StationId>) + '_ {
             move |src, out| {
                 out.extend((0..4).filter(|&d| (xs[src] - xs[d]).abs() <= 30.0));
             }
         }
         let mut c = NeighborCache::new();
-        c.build_sparse(4, cs, power(&xs), hood(&xs));
-        assert!(c.is_sparse());
+        c.build(4, cs, power(&xs), hood(&xs));
         assert!(c.stored_entries() < 12, "sparse must omit far pairs");
         assert!(c.find_incoherence(cs, power(&xs)).is_none());
         assert_eq!(*c.audible_list(0), vec![1, 2]);
@@ -736,7 +637,7 @@ mod tests {
         let snapshot = c.row(0);
         xs[3] = 5.0;
         let new_keys = [0usize, 1, 2];
-        c.rebuild_station_sparse(3, cs, power(&xs), &new_keys, &[]);
+        c.rebuild_station(3, cs, power(&xs), &new_keys, &[]);
         assert_eq!(snapshot.get(3), Dbm(f64::NEG_INFINITY));
         assert_eq!(c.row(0).get(3), Dbm(-45.0));
         assert_eq!(*c.audible_list(0), vec![1, 2, 3]);
@@ -745,10 +646,45 @@ mod tests {
 
         // And back out again: stale entries must disappear.
         xs[3] = 80.0;
-        c.rebuild_station_sparse(3, cs, power(&xs), &[], &new_keys);
+        c.rebuild_station(3, cs, power(&xs), &[], &new_keys);
         assert_eq!(c.row(0).get(3), Dbm(f64::NEG_INFINITY));
         assert_eq!(*c.audible_list(0), vec![1, 2]);
         assert!(c.find_incoherence(cs, power(&xs)).is_none());
+    }
+
+    #[test]
+    fn fill_missing_completes_a_sparse_sum_exactly() {
+        // Station 3 is outside row 0's neighborhood: the row adds the
+        // stored terms, the fill adds exactly the omitted candidate —
+        // never the transmitter itself, never a stored slot twice —
+        // and the result is the full row's sum, bit for bit.
+        let xs = [0.0f64, 10.0, 20.0, 80.0];
+        let cs = Dbm(-75.0);
+        let mut c = NeighborCache::new();
+        c.build(4, cs, power(&xs), |src, out| {
+            out.extend((0..4).filter(|&d| (xs[src] - xs[d]).abs() <= 30.0))
+        });
+        let full = RxRow::full((0..4).map(|d| power(&xs)(0, d)).collect());
+        let candidates = [0usize, 1, 2, 3];
+        let mut sparse = vec![0.0; 4];
+        let row = c.row(0);
+        row.accumulate_mw(None, &mut sparse);
+        row.fill_missing(0, &candidates, &mut sparse, |d| {
+            power(&xs)(0, d).to_milliwatts()
+        });
+        let mut dense = vec![0.0; 4];
+        full.accumulate_mw(None, &mut dense);
+        for d in 1..4 {
+            assert_eq!(sparse[d].to_bits(), dense[d].to_bits(), "slot {d}");
+        }
+        assert_eq!(sparse[0], 0.0, "the transmitter's own slot stays empty");
+
+        // A row that already covers everyone skips the fill outright.
+        c.build(4, cs, power(&xs), |_, out| out.extend(candidates));
+        let mut untouched = vec![0.0; 4];
+        c.row(0)
+            .fill_missing(0, &candidates, &mut untouched, |_| unreachable!());
+        full.fill_missing(0, &candidates, &mut untouched, |_| unreachable!());
     }
 
     #[test]
@@ -759,7 +695,7 @@ mod tests {
         let xs = [0.0f64, 10.0];
         let cs = Dbm(-75.0);
         let mut c = NeighborCache::new();
-        c.build_sparse(
+        c.build(
             2,
             cs,
             |a, b| Dbm(-((xs[a] - xs[b]).abs()) - 40.0),

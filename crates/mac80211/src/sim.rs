@@ -650,9 +650,10 @@ struct TxRecord {
     /// Received power per station (with the bit-exact linear-milliwatt
     /// mirror inside) — a start-time snapshot shared with the neighbor
     /// cache (copy-on-write: mobility after tx start patches the
-    /// cache, not this row). Sparse grid-backed rows answer −∞ for
-    /// stations beyond the transmitter's cell neighborhood, which are
-    /// below the carrier-sense floor by construction.
+    /// cache, not this row). Grid-backed rows answer −∞ for stations
+    /// beyond the transmitter's cell neighborhood, which are below the
+    /// carrier-sense floor by construction; interference sums fill
+    /// those terms in on demand.
     rx_power: RxRow,
     /// Stations whose raw start-time power meets the CS threshold,
     /// ascending — the only ones busy/idle-edge delivery visits.
@@ -812,14 +813,11 @@ pub struct WlanWorld {
     /// [`set_loss_model`](Self::set_loss_model) (time-varying models
     /// cannot be cached).
     neighbor_cache: bool,
-    /// The spatial hash grid backing sparse neighbor rows; alive
-    /// exactly while the cache is built in sparse mode, kept in sync
+    /// The spatial hash grid backing the neighbor rows; alive exactly
+    /// while the cache is built over grid neighborhoods (an isotropic
+    /// loss model with a finite probed audible reach), kept in sync
     /// with station positions by [`set_position`](Self::set_position).
     grid: Option<SpatialGrid>,
-    /// Whether position-driven scans may use the spatial grid (on by
-    /// default; engaging additionally requires an isotropic loss model
-    /// and a finite probed audible reach).
-    grid_index: bool,
     /// Whether the loss closure is a pure monotone function of the
     /// pair's distance — the precondition for probing the audible
     /// reach along a single ray. True for the built-in log-distance
@@ -900,7 +898,6 @@ impl WlanWorld {
             neighbors: NeighborCache::new(),
             neighbor_cache: neighbor_cache_default(),
             grid: None,
-            grid_index: true,
             loss_isotropic: true,
             hood_scratch: Vec::new(),
             contenders: IdBitSet::new(),
@@ -954,8 +951,8 @@ impl WlanWorld {
     /// ignores the time argument (any pure function of geometry), so
     /// the neighbor cache stays eligible. The model may still be
     /// anisotropic (walls, shadowing), so the audible-reach probe —
-    /// and with it the spatial grid — is disabled; the cache falls
-    /// back to dense rows.
+    /// and with it the spatial grid — is disabled; every cached row
+    /// then covers the whole world.
     pub fn set_loss_model_static(
         &mut self,
         loss: Box<dyn Fn(Point, Point, Hertz, SimTime) -> Db + Send>,
@@ -991,25 +988,8 @@ impl WlanWorld {
         }
     }
 
-    /// Enables or disables the spatial grid index for this world's
-    /// position-driven scans (sparse neighbor rows, grid-backed shard
-    /// planning). On by default; turning it off forces the dense
-    /// O(n²) representations — the reference the `fuzz --grid-diff`
-    /// differential leg compares against.
-    pub fn set_grid_index(&mut self, on: bool) {
-        if self.grid_index != on {
-            self.grid_index = on;
-            self.invalidate_neighbors();
-        }
-    }
-
-    /// Whether position-driven scans may use the spatial grid.
-    pub fn grid_index_enabled(&self) -> bool {
-        self.grid_index
-    }
-
     /// The live spatial grid (present only while the neighbor cache is
-    /// built in sparse mode). Test and oracle hook.
+    /// built over grid neighborhoods). Test and oracle hook.
     pub fn spatial_grid(&self) -> Option<&SpatialGrid> {
         self.grid.as_ref()
     }
@@ -1352,12 +1332,9 @@ impl WlanWorld {
     }
 
     /// Builds the spatial grid for the current deployment when
-    /// eligible: grid indexing on, an isotropic loss model, and a
-    /// finite probed audible reach (the cell edge).
+    /// eligible: an isotropic loss model and a finite probed audible
+    /// reach (the cell edge).
     fn build_grid(&self, now: SimTime) -> Option<SpatialGrid> {
-        if !self.grid_index {
-            return None;
-        }
         let reach = self.audible_reach_m(now)?;
         Some(SpatialGrid::build(
             reach,
@@ -1365,32 +1342,27 @@ impl WlanWorld {
         ))
     }
 
-    /// Builds the neighbor cache if it is not current (the matrix is
-    /// otherwise built lazily at the first transmission): sparse
-    /// grid-backed rows when the grid is eligible — O(n·k) — dense
-    /// O(n²) otherwise.
+    /// Builds the neighbor cache if it is not current (it is
+    /// otherwise built lazily at the first transmission): rows over
+    /// 27-cell grid neighborhoods when the grid is eligible — O(n·k) —
+    /// rows over every other station otherwise.
     fn ensure_neighbors(&mut self, now: SimTime) {
         if self.neighbors.is_built() {
             return;
         }
         let mut cache = std::mem::take(&mut self.neighbors);
-        match self.build_grid(now) {
-            Some(grid) => {
-                cache.build_sparse(
-                    self.stations.len(),
-                    self.cfg.cs_threshold,
-                    |a, b| self.rx_power_at(a, b, now),
-                    |src, out| grid.neighborhood_into(grid.cell_of(src), out),
-                );
-                self.grid = Some(grid);
-            }
-            None => {
-                cache.build(self.stations.len(), self.cfg.cs_threshold, |a, b| {
-                    self.rx_power_at(a, b, now)
-                });
-                self.grid = None;
-            }
-        }
+        let n = self.stations.len();
+        let grid = self.build_grid(now);
+        cache.build(
+            n,
+            self.cfg.cs_threshold,
+            |a, b| self.rx_power_at(a, b, now),
+            |src, out| match &grid {
+                Some(grid) => grid.neighborhood_into(grid.cell_of(src), out),
+                None => out.extend(0..n),
+            },
+        );
+        self.grid = grid;
         self.neighbors = cache;
     }
 
@@ -1402,14 +1374,15 @@ impl WlanWorld {
         }
     }
 
-    /// `(sparse, stored pair entries)` of the built neighbor cache —
-    /// `None` before the lazy build. Entries are n·(n−1) dense; sparse
-    /// rows store only grid neighborhoods, and this is the hook the
-    /// storage-factor claims and the perfsuite grid section read.
+    /// `(grid-indexed, stored pair entries)` of the built neighbor
+    /// cache — `None` before the lazy build. Grid-indexed rows store
+    /// only grid neighborhoods, other worlds n·(n−1) entries; this is
+    /// the hook the storage-factor claims and the perfsuite grid
+    /// section read.
     pub fn neighbor_cache_stats(&self) -> Option<(bool, usize)> {
         self.neighbors
             .is_built()
-            .then(|| (self.neighbors.is_sparse(), self.neighbors.stored_entries()))
+            .then(|| (self.grid.is_some(), self.neighbors.stored_entries()))
     }
 
     /// Compares every cached (src, dst) power and audibility entry
@@ -1426,11 +1399,11 @@ impl WlanWorld {
 
     /// Grid/world coherence for the `grid-coherence` fuzz oracle:
     /// the spatial grid's structural invariants against the current
-    /// positions, plus the sparse rows' stored-vs-fresh check — which
+    /// positions, plus the rows' stored-vs-fresh check — which
     /// includes the grid-soundness claim that every omitted pair is
     /// below the carrier-sense floor. Empty when coherent, or when no
-    /// grid is active (dense worlds have nothing grid-shaped to
-    /// contradict).
+    /// grid is active (worlds whose rows cover everyone have nothing
+    /// grid-shaped to contradict).
     pub fn grid_incoherence(&self, now: SimTime) -> Vec<String> {
         let mut out = Vec::new();
         let Some(grid) = &self.grid else {
@@ -1441,7 +1414,7 @@ impl WlanWorld {
         }
         if let Some((src, dst, cached, fresh)) = self.neighbor_cache_incoherence(now) {
             out.push(format!(
-                "sparse row {src}->{dst}: cached {cached:?}, fresh {fresh:?}"
+                "grid row {src}->{dst}: cached {cached:?}, fresh {fresh:?}"
             ));
         }
         out
@@ -1450,11 +1423,11 @@ impl WlanWorld {
     /// Moves a station (the [`MacEvent::SetPosition`] handler, exposed
     /// for mobility models driving the world directly). With a live
     /// grid the patch is O(k): the mover's cell membership updates,
-    /// its sparse row rebuilds over the *new* neighborhood, and only
-    /// the rows of stations entering or leaving that neighborhood are
-    /// touched — stations two cells away never were and never become
-    /// audible, so their rows are correct untouched. Dense caches keep
-    /// the O(n) row+column rebuild.
+    /// its row rebuilds over the *new* neighborhood, and only the rows
+    /// of stations entering or leaving that neighborhood are touched —
+    /// stations two cells away never were and never become audible, so
+    /// their rows are correct untouched. Without a grid the
+    /// neighborhood is everyone: an O(n) row+column rebuild.
     pub fn set_position(&mut self, station: StationId, pos: Point, now: SimTime) {
         self.stations[station].pos = pos;
         if !(self.neighbor_cache && self.neighbors.is_built()) {
@@ -1463,9 +1436,8 @@ impl WlanWorld {
         // Mobility dirties exactly one row and one column; rows
         // snapshotted by in-flight records keep their start-time
         // values (copy-on-write).
-        let mut cache = std::mem::take(&mut self.neighbors);
-        match self.grid.take() {
-            Some(mut grid) => {
+        let (new_hood, stale): (Vec<StationId>, Vec<StationId>) = match &mut self.grid {
+            Some(grid) => {
                 let mut old_hood = std::mem::take(&mut self.hood_scratch);
                 old_hood.clear();
                 grid.neighborhood_into(grid.cell_of(station), &mut old_hood);
@@ -1474,27 +1446,25 @@ impl WlanWorld {
                 grid.neighborhood_into(grid.cell_of(station), &mut new_hood);
                 // Stations in the old neighborhood but not the new one
                 // fell out of audible reach on both sides of the pair.
-                let stale: Vec<StationId> = old_hood
+                let stale = old_hood
                     .iter()
                     .copied()
                     .filter(|id| new_hood.binary_search(id).is_err())
                     .collect();
-                cache.rebuild_station_sparse(
-                    station,
-                    self.cfg.cs_threshold,
-                    |a, b| self.rx_power_at(a, b, now),
-                    &new_hood,
-                    &stale,
-                );
                 self.hood_scratch = old_hood;
-                self.grid = Some(grid);
+                (new_hood, stale)
             }
-            None => {
-                cache.rebuild_station(station, self.cfg.cs_threshold, |a, b| {
-                    self.rx_power_at(a, b, now)
-                });
-            }
-        }
+            // Without a grid every row covers the whole world.
+            None => ((0..self.stations.len()).collect(), Vec::new()),
+        };
+        let mut cache = std::mem::take(&mut self.neighbors);
+        cache.rebuild_station(
+            station,
+            self.cfg.cs_threshold,
+            |a, b| self.rx_power_at(a, b, now),
+            &new_hood,
+            &stale,
+        );
         self.neighbors = cache;
     }
 
@@ -1579,9 +1549,6 @@ impl WlanWorld {
         now: SimTime,
         max_interference_range_m: Option<f64>,
     ) -> Option<crate::shard::ShardPlan> {
-        if !self.grid_index {
-            return None;
-        }
         let n = self.stations.len();
         let mut parent: Vec<usize> = (0..n).collect();
         match max_interference_range_m {
@@ -1642,8 +1609,9 @@ impl WlanWorld {
 
     /// The reference O(n²) pair scan (union-find root identity,
     /// memoized spectral overlap, distance before any link-budget
-    /// evaluation). Public so the `fuzz --grid-diff` differential leg
-    /// can compare it against the grid planner on any world.
+    /// evaluation). The planner for worlds the grid cannot index, and
+    /// public so the `fuzz --cache-diff` planning leg can compare it
+    /// against the grid planner on any world.
     pub fn shard_plan_exhaustive(
         &self,
         now: SimTime,
@@ -1813,7 +1781,7 @@ impl WlanWorld {
         // grid neighborhood when the geometry is indexable, everyone
         // otherwise.
         let candidates: Vec<StationId> = match (range.is_finite(), self.audible_reach_m(now)) {
-            (true, Some(reach)) if self.grid_index => {
+            (true, Some(reach)) => {
                 let cell = range.max(reach);
                 let grid = SpatialGrid::build(cell, self.stations.iter().map(|s| s.pos));
                 let mut hood = Vec::new();
@@ -1876,9 +1844,6 @@ impl WlanWorld {
     ) -> Option<Option<crate::shard::ShardIncoherence>> {
         use crate::shard::{propagation_delay, ShardIncoherence, METRES_PER_NANOSECOND};
         use std::collections::BTreeMap;
-        if !self.grid_index {
-            return None;
-        }
         let n = self.stations.len();
         if plan.shard_of.len() != n {
             return Some(Some(ShardIncoherence::StationCountChanged {
@@ -2048,7 +2013,7 @@ impl WlanWorld {
             }
             row.push(p);
         }
-        (RxRow::dense(Arc::new(row), None), Arc::new(candidates))
+        (RxRow::full(row), Arc::new(candidates))
     }
 
     fn audible_at(&self, power: Dbm) -> bool {
@@ -2603,8 +2568,8 @@ impl WlanWorld {
         // pass per record accumulates its milliwatt row into a single
         // per-station vector, in the same ascending record order (and
         // therefore the same float rounding) as a per-receiver scalar
-        // sum. Records that carry a cached milliwatt row contribute a
-        // straight slice add; the rest convert dB→mW per entry exactly
+        // sum. Records that carry a cached milliwatt row add it at its
+        // key slots; direct-path rows convert dB→mW per entry exactly
         // as the scalar path always did.
         let n = self.stations.len();
         let mut intf_acc = std::mem::take(&mut self.intf_scratch);
@@ -2625,15 +2590,25 @@ impl WlanWorld {
                 intf_acc.resize(n, 0.0);
             }
             intf_count += 1;
-            if ov >= 1.0 {
-                rec_o.rx_power.accumulate_mw(&mut intf_acc);
-            } else {
-                // Same per-entry expression as `leaked_power` followed
-                // by `to_milliwatts`; the dB shift is a pure function
-                // of the overlap, hoisted out of the row loop.
-                let shift = 10.0 * ov.log10();
-                rec_o.rx_power.accumulate_shifted_mw(shift, &mut intf_acc);
-            }
+            // Partial overlap uses the same per-entry expression as
+            // `leaked_power` followed by `to_milliwatts`; the dB shift
+            // is a pure function of the overlap, hoisted out of the
+            // row loop.
+            let shift = (ov < 1.0).then(|| 10.0 * ov.log10());
+            rec_o.rx_power.accumulate_mw(shift, &mut intf_acc);
+            // Candidates outside the interferer's grid neighborhood are
+            // below its carrier-sense floor, not below the noise floor:
+            // their terms are evaluated here, on demand, so the sum is
+            // the direct path's.
+            rec_o
+                .rx_power
+                .fill_missing(rec_o.src, &candidates, &mut intf_acc, |r| {
+                    let p = self.rx_power_at(rec_o.src, r, rec_o.start);
+                    match shift {
+                        None => p.to_milliwatts(),
+                        Some(shift) => Dbm(p.value() + shift).to_milliwatts(),
+                    }
+                });
         }
         let mut cur = 0usize;
         for &r in candidates.iter() {

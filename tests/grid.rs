@@ -1,9 +1,11 @@
 //! Spatial hash grid edge cases (DESIGN.md §17): the grid-backed
-//! sparse neighbor cache and grid shard planner must stay coherent —
-//! and agree with the dense/exhaustive reference paths — at cell
-//! boundaries, in degenerate one-cell worlds, in worlds where nothing
-//! is audible, and under mobility that hops stations across cells.
+//! neighbor cache and grid shard planner must stay coherent — and
+//! agree with the direct propagation path and the exhaustive planner —
+//! at cell boundaries, in degenerate one-cell worlds, in worlds where
+//! nothing is audible, in running worlds that span several
+//! neighborhoods, and under mobility that hops stations across cells.
 
+use wireless_networks::check::{line_world_run, LINE_WORLD_SPACINGS};
 use wireless_networks::core::scenarios::{metro_dcf_planning_world, CITY_DCF_RANGE_M};
 use wireless_networks::mac80211::sim::{MacConfig, NullUpper, WlanWorld};
 use wireless_networks::phy::geom::Point;
@@ -195,4 +197,41 @@ fn incremental_replan_matches_fresh_plan() {
         );
         plan = patched;
     }
+}
+
+/// Running traffic across several grid neighborhoods: 8 IBSS pairs on
+/// a line at 0.6/1.1/1.6/2.2× the audible reach. Interferers outside a
+/// receiver's neighborhood are below the carrier-sense floor but still
+/// above the noise floor, so the grid-backed cache must fill their
+/// SINR terms in and match the direct path byte for byte — events,
+/// trace and metrics — while storing fewer than n·(n−1) pairs.
+#[test]
+fn multi_cell_traffic_matches_the_direct_path() {
+    let mut truncated = 0;
+    for spacing in LINE_WORLD_SPACINGS {
+        let cached = line_world_run(spacing, true);
+        let direct = line_world_run(spacing, false);
+        let n = cached.stations;
+        let (grid, stored) = cached.cache.expect("cache primed by traffic");
+        assert!(grid, "{spacing}x: the line world is grid-indexed");
+        if stored < n * (n - 1) {
+            truncated += 1;
+        }
+        assert_eq!(
+            cached.processed, direct.processed,
+            "{spacing}x: event counts diverged"
+        );
+        assert!(
+            cached.trace_jsonl == direct.trace_jsonl,
+            "{spacing}x: trace JSONL diverged"
+        );
+        assert!(
+            cached.metrics_jsonl == direct.metrics_jsonl,
+            "{spacing}x: metrics JSONL diverged"
+        );
+    }
+    assert!(
+        truncated > 0,
+        "no spacing stored fewer than n(n-1) pairs — the grid never truncated"
+    );
 }

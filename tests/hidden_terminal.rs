@@ -56,7 +56,9 @@ fn floor_plan() -> IndoorWalls {
     )])
 }
 
-fn run(rts_threshold: usize) -> WlanWorld {
+/// The three-station world under the wall-aware floor plan, before
+/// any traffic.
+fn hidden_world(rts_threshold: usize) -> WlanWorld {
     let mut cfg = MacConfig::new(PhyStandard::Dot11b);
     cfg.seed = 7;
     cfg.arf = false;
@@ -72,8 +74,11 @@ fn run(rts_threshold: usize) -> WlanWorld {
     for (i, pos) in [RECEIVER, SENDER_A, SENDER_B].into_iter().enumerate() {
         world.add_station(MacAddr::station(i as u32), pos, Box::new(NullUpper));
     }
+    world
+}
 
-    let mut sim = Simulation::new(world);
+fn run(rts_threshold: usize) -> WlanWorld {
+    let mut sim = Simulation::new(hidden_world(rts_threshold));
     boot(&mut sim);
     // Both hidden senders get their whole backlog up front, so they
     // stay saturated and every contention round is the synchronised
@@ -134,6 +139,22 @@ fn geometry_is_hidden_but_decodable() {
     assert!(!budget.captures(uplink_loss, &[sender_to_rx], 10.0));
     // ...while the same frame alone sails through.
     assert!(budget.captures(uplink_loss, &[], 10.0));
+}
+
+/// A wall-aware loss model is anisotropic, so the spatial grid cannot
+/// index this world: its neighbor cache keys every row over the whole
+/// world (all n·(n−1) pairs), and every entry — the wall-shadowed
+/// sender pair included — must match a fresh evaluation.
+#[test]
+fn anisotropic_world_primes_a_coherent_cache() {
+    let mut world = hidden_world(usize::MAX);
+    world.prime_neighbor_cache(SimTime::ZERO);
+    assert_eq!(
+        world.neighbor_cache_stats(),
+        Some((false, 6)),
+        "expected full rows without a grid"
+    );
+    assert_eq!(world.neighbor_cache_incoherence(SimTime::ZERO), None);
 }
 
 /// The MAC-level regression proper. With two saturated hidden senders,
