@@ -4,9 +4,11 @@
 //!
 //! Each seed maps to one generated scenario (`wn-check`'s
 //! `ScenarioGen`), runs it through the engines single-threaded, and
-//! checks the typed trace against every invariant oracle. Seeds are
-//! independent, so ranges fan out across workers with identical
-//! results for any worker count.
+//! checks the typed trace against every invariant oracle — including
+//! the scheduler-order oracle, which replays the run's recorded queue
+//! op stream through the timer wheel and the reference binary heap and
+//! demands the same pop order. Seeds are independent, so ranges fan
+//! out across workers with identical results for any worker count.
 //!
 //! Flags:
 //! - `--seeds N` — fuzz seeds `start..start+N` (default 500).
@@ -17,13 +19,6 @@
 //!   repro before exiting.
 //! - `--threads T` — worker count for range runs (default: `WN_THREADS`
 //!   env var, else detected parallelism).
-//! - `--scheduler heap|wheel` — back end for the single-scheduler
-//!   modes (default: the engine default, currently the timer wheel;
-//!   `heap` selects the reference binary heap). Ignored by `--dual`,
-//!   which always runs both.
-//! - `--dual` — differential scheduler mode: replay every seed through
-//!   both the binary-heap and timer-wheel back ends and fail unless
-//!   the trace and metrics fingerprints are byte-identical.
 //! - `--cache-diff` — differential propagation mode: replay every seed
 //!   with the neighbor cache on and off and fail unless the trace and
 //!   metrics fingerprints are byte-identical (the equivalence contract
@@ -43,10 +38,10 @@
 //!   (Bluetooth/ZigBee/WiMAX) are skipped.
 //! - `--qos` — the EDCA/A-MPDU corpus (DESIGN.md §16): every seed maps
 //!   to a QoS WLAN world (mixed-AC traffic, aggregation on/off, OBSS
-//!   twin cells), each run oracle-checked through both scheduler back
-//!   ends, the neighbor cache on/off, and the component executor at 1
-//!   vs 2 and 4 workers, demanding byte-identical fingerprints
-//!   throughout. The leg then
+//!   twin cells), each run oracle-checked (scheduler order included)
+//!   and replayed with the neighbor cache off and through the
+//!   component executor at 1 vs 2 and 4 workers, demanding
+//!   byte-identical fingerprints throughout. The leg then
 //!   runs two gates: the AIFSN-swap fail-point self-test (the planted
 //!   AC_VO/AC_BK parameter swap must be caught by the
 //!   priority-inversion oracle and shrunk to a small repro) and the
@@ -58,14 +53,14 @@
 //! one-line repro command, and exits 1.
 
 use wn_check::{
-    check_range_gen, check_range_opts, check_range_with, check_seed_with, line_world_run,
-    range_digest, repro_command, run, shard_diff_range, shard_diff_range_gen, shard_diff_seed,
-    shrink, station_count, ScenarioGen, ShardDiffReport, LINE_WORLD_SPACINGS,
+    check_range, check_range_gen, check_range_opts, check_seed, line_world_run, range_digest,
+    repro_command, run, shard_diff_range, shard_diff_range_gen, shard_diff_seed, shrink,
+    station_count, ScenarioGen, ShardDiffReport, LINE_WORLD_SPACINGS,
 };
 use wn_core::scenarios::{city_dcf_point, metro_dcf_planning_world, CITY_DCF_RANGE_M};
 use wn_mac80211::shard::ShardRunReport;
 use wn_sim::stats::fnv1a;
-use wn_sim::{worker_count, SchedulerKind, SimTime};
+use wn_sim::{worker_count, SimTime};
 
 /// FNV-1a of `range_digest(0, 200, _)` over the classic corpus as
 /// recorded *before* the QoS machinery landed. The `--qos` leg
@@ -81,11 +76,9 @@ struct Options {
     single: Option<u64>,
     shrink: bool,
     threads: usize,
-    dual: bool,
     cache_diff: bool,
     shard_diff: bool,
     qos: bool,
-    scheduler: SchedulerKind,
 }
 
 fn parse(args: &[String]) -> Result<Options, String> {
@@ -95,11 +88,9 @@ fn parse(args: &[String]) -> Result<Options, String> {
         single: None,
         shrink: false,
         threads: worker_count(),
-        dual: false,
         cache_diff: false,
         shard_diff: false,
         qos: false,
-        scheduler: SchedulerKind::default(),
     };
     let mut i = 0;
     while i < args.len() {
@@ -129,14 +120,9 @@ fn parse(args: &[String]) -> Result<Options, String> {
                 );
             }
             "--shrink" => opts.shrink = true,
-            "--dual" => opts.dual = true,
             "--cache-diff" => opts.cache_diff = true,
             "--shard-diff" => opts.shard_diff = true,
             "--qos" => opts.qos = true,
-            "--scheduler" => {
-                i += 1;
-                opts.scheduler = need(i)?.parse::<SchedulerKind>()?;
-            }
             "--threads" => {
                 i += 1;
                 opts.threads = need(i)?
@@ -193,46 +179,6 @@ fn report_failure_gen(
     }
 }
 
-/// Differential scheduler mode: the same seed range through both
-/// queue back ends, seed by seed, demanding identical fingerprints.
-/// Returns the number of disagreeing or violating seeds.
-fn run_dual(opts: &Options) -> u64 {
-    let (start, count) = match opts.single {
-        Some(seed) => (seed, 1),
-        None => (opts.start, opts.count),
-    };
-    let t0 = std::time::Instant::now();
-    let heap = check_range_with(start, count, opts.threads, SchedulerKind::BinaryHeap);
-    let wheel = check_range_with(start, count, opts.threads, SchedulerKind::TimerWheel);
-    let mut failures = 0u64;
-    for (h, w) in heap.iter().zip(&wheel) {
-        let agree =
-            h.events == w.events && h.trace_fnv == w.trace_fnv && h.metrics_fnv == w.metrics_fnv;
-        if !agree {
-            failures += 1;
-            println!(
-                "seed {}: SCHEDULER DIVERGENCE  {}\n  heap:  events={} trace_fnv={:016x} metrics_fnv={:016x}\n  wheel: events={} trace_fnv={:016x} metrics_fnv={:016x}",
-                h.seed, h.summary, h.events, h.trace_fnv, h.metrics_fnv, w.events, w.trace_fnv, w.metrics_fnv
-            );
-            println!("  repro: {} --dual", repro_command(h.seed));
-        }
-        if !h.violations.is_empty() {
-            failures += 1;
-            report_failure(h.seed, &h.summary, &h.violations, opts.shrink);
-        }
-    }
-    println!(
-        "dual-scheduler fuzz: {} seeds ({}..{}) x {{heap, wheel}} on {} workers in {:.2}s: {} failing",
-        count,
-        start,
-        start + count,
-        opts.threads,
-        t0.elapsed().as_secs_f64(),
-        failures
-    );
-    failures
-}
-
 /// Differential propagation mode: the same seed range with the
 /// neighbor cache on vs off, seed by seed, demanding identical
 /// fingerprints, then the fixed multi-cell legs (line-world traffic
@@ -244,9 +190,8 @@ fn run_cache_diff(opts: &Options) -> u64 {
         None => (opts.start, opts.count),
     };
     let t0 = std::time::Instant::now();
-    let kind = opts.scheduler;
-    let cached = check_range_opts(start, count, opts.threads, kind, true);
-    let direct = check_range_opts(start, count, opts.threads, kind, false);
+    let cached = check_range_opts(start, count, opts.threads, true);
+    let direct = check_range_opts(start, count, opts.threads, false);
     let mut failures = 0u64;
     for (c, d) in cached.iter().zip(&direct) {
         let agree =
@@ -346,7 +291,7 @@ fn print_worker_divergence(reference: &ShardRunReport, parallel: &[(usize, Shard
     }
 }
 
-/// Prints one failing shard differential, dual-style: the 1-worker
+/// Prints one failing shard differential: the 1-worker
 /// reference digests against every diverging multi-worker execution,
 /// plus any partition-soundness failure.
 fn report_shard_divergence(r: &ShardDiffReport) {
@@ -439,10 +384,10 @@ fn run_shard_diff(opts: &Options) -> u64 {
     failures
 }
 
-/// The QoS corpus leg: oracle-checked EDCA/A-MPDU worlds across both
-/// scheduler back ends, the neighbor cache on/off and the component
-/// executor at 1 vs 2 and 4 workers, then the AIFSN-swap self-test and the
-/// legacy-equivalence differential. Returns the number of failures.
+/// The QoS corpus leg: oracle-checked EDCA/A-MPDU worlds (scheduler
+/// order included) across the neighbor cache on/off and the component
+/// executor at 1 vs 2 and 4 workers, then the AIFSN-swap self-test and
+/// the legacy-equivalence differential. Returns the number of failures.
 fn run_qos(opts: &Options) -> u64 {
     let (start, count) = match opts.single {
         Some(seed) => (seed, 1),
@@ -452,47 +397,18 @@ fn run_qos(opts: &Options) -> u64 {
     let gen = ScenarioGen::with_qos();
     let mut failures = 0u64;
 
-    // Leg 1: oracle sweep through both schedulers, fingerprints equal.
-    let heap = check_range_gen(
-        gen,
-        start,
-        count,
-        opts.threads,
-        SchedulerKind::BinaryHeap,
-        true,
-    );
-    let wheel = check_range_gen(
-        gen,
-        start,
-        count,
-        opts.threads,
-        SchedulerKind::TimerWheel,
-        true,
-    );
-    for (h, w) in heap.iter().zip(&wheel) {
-        if h.events != w.events || h.trace_fnv != w.trace_fnv || h.metrics_fnv != w.metrics_fnv {
+    // Leg 1: the oracle sweep, scheduler order included.
+    let cached = check_range_gen(gen, start, count, opts.threads, true);
+    for r in &cached {
+        if !r.violations.is_empty() {
             failures += 1;
-            println!(
-                "seed {}: SCHEDULER DIVERGENCE (qos)  {}\n  heap:  events={} trace_fnv={:016x} metrics_fnv={:016x}\n  wheel: events={} trace_fnv={:016x} metrics_fnv={:016x}",
-                h.seed, h.summary, h.events, h.trace_fnv, h.metrics_fnv, w.events, w.trace_fnv, w.metrics_fnv
-            );
-        }
-        if !h.violations.is_empty() {
-            failures += 1;
-            report_failure_gen(&gen, h.seed, &h.summary, &h.violations, opts.shrink);
+            report_failure_gen(&gen, r.seed, &r.summary, &r.violations, opts.shrink);
         }
     }
 
     // Leg 2: the cached propagation path against the direct one.
-    let direct = check_range_gen(
-        gen,
-        start,
-        count,
-        opts.threads,
-        SchedulerKind::TimerWheel,
-        false,
-    );
-    for (c, d) in wheel.iter().zip(&direct) {
+    let direct = check_range_gen(gen, start, count, opts.threads, false);
+    for (c, d) in cached.iter().zip(&direct) {
         if c.events != d.events || c.trace_fnv != d.trace_fnv || c.metrics_fnv != d.metrics_fnv {
             failures += 1;
             println!(
@@ -569,7 +485,7 @@ fn run_qos(opts: &Options) -> u64 {
     }
 
     println!(
-        "qos fuzz: {} seeds ({}..{}) x {{heap, wheel, direct, shard executor}} + aifsn-swap self-test + {}-seed legacy digest on {} workers in {:.2}s: {} failing ({} multi-shard)",
+        "qos fuzz: {} seeds ({}..{}) x {{cached, direct, shard executor}} + aifsn-swap self-test + {}-seed legacy digest on {} workers in {:.2}s: {} failing ({} multi-shard)",
         count,
         start,
         start + count,
@@ -592,12 +508,6 @@ fn main() {
         }
     };
 
-    if opts.dual {
-        if run_dual(&opts) > 0 {
-            std::process::exit(1);
-        }
-        return;
-    }
     if opts.cache_diff {
         if run_cache_diff(&opts) > 0 {
             std::process::exit(1);
@@ -621,7 +531,7 @@ fn main() {
     let mut failures = 0u64;
 
     if let Some(seed) = opts.single {
-        let r = check_seed_with(seed, opts.scheduler);
+        let r = check_seed(seed);
         if r.violations.is_empty() {
             println!("seed {seed}: ok  {} ({} events)", r.summary, r.events);
         } else {
@@ -629,7 +539,7 @@ fn main() {
             report_failure(seed, &r.summary, &r.violations, opts.shrink);
         }
     } else {
-        let reports = check_range_with(opts.start, opts.count, opts.threads, opts.scheduler);
+        let reports = check_range(opts.start, opts.count, opts.threads);
         let total = reports.len();
         for r in &reports {
             if !r.violations.is_empty() {

@@ -18,11 +18,11 @@
 //! A final pair of sections benchmarks the hot paths in isolation on
 //! the SCALE-DCF saturation workload: `neighbors` times the cached
 //! propagation path against the direct O(n) fan-out at 100 and 1000
-//! stations (digests must match bit-for-bit), and `scheduler` races
-//! the two queue back ends — the full simulation through each queue,
-//! plus the recorded push/pop op stream of that run replayed
-//! payload-free through each queue (the isolated queue-cost
-//! comparison, since the full run is dominated by MAC/PHY compute).
+//! stations (digests must match bit-for-bit), and `scheduler` replays
+//! the recorded push/pop op stream of a 1000-station run payload-free
+//! through the timer wheel and the reference binary heap, alternating
+//! over several repeats (median and min/max) — the isolated queue
+//! cost, since a full run is dominated by MAC/PHY compute.
 //!
 //! A `shards` section times the component executor on the CITY-DCF
 //! flagship city (one interference shard per BSS) at 1 worker and at
@@ -47,8 +47,8 @@
 //! at the METRO-DCF 100k+ flagship. The partitions must be identical
 //! and the plan must re-validate coherent.
 //!
-//! `--section neighbors` (or `scheduler`, `arena`, `shards`, `qos`,
-//! `grid`) runs just that section and prints its JSON object — the CI
+//! `--section neighbors` (or `scheduler`, `shards`, `qos`, `grid`)
+//! runs just that section and prints its JSON object — the CI
 //! smoke path, which wants the section's equivalence assertions
 //! without the full campaign cost.
 
@@ -57,7 +57,7 @@ use std::time::Instant;
 use wn_core::runner;
 use wn_core::scenarios::{
     city_dcf_run, city_dcf_size, dense_obss_point_opts, metro_dcf_planning_world, metro_dcf_sweep,
-    scale_dcf_op_log, scale_dcf_point, scale_dcf_point_opts, CITY_DCF_RANGE_M, DENSE_OBSS_MIX,
+    scale_dcf_op_log, scale_dcf_point_opts, CITY_DCF_RANGE_M, DENSE_OBSS_MIX,
 };
 use wn_phy::propagation::{LogDistance, PathLoss};
 use wn_sim::{
@@ -99,7 +99,7 @@ fn main() {
                     Some(s) => section = Some(s.clone()),
                     None => {
                         eprintln!(
-                            "--section needs a name (supported: neighbors, scheduler, arena, shards, qos, grid)"
+                            "--section needs a name (supported: neighbors, scheduler, shards, qos, grid)"
                         );
                         std::process::exit(2);
                     }
@@ -141,13 +141,12 @@ fn main() {
         let json = match name {
             "neighbors" => neighbors_section(),
             "scheduler" => scheduler_section(),
-            "arena" => arena_section(),
             "shards" => shards_section(),
             "qos" => qos_section(),
             "grid" => grid_section(),
             other => {
                 eprintln!(
-                    "unknown section '{other}' (supported: neighbors, scheduler, arena, shards, qos, grid)"
+                    "unknown section '{other}' (supported: neighbors, scheduler, shards, qos, grid)"
                 );
                 std::process::exit(2);
             }
@@ -225,8 +224,6 @@ fn main() {
     let neighbors = neighbors.trim_end();
     let scheduler = scheduler_section();
     let scheduler = scheduler.trim_end();
-    let arena = arena_section();
-    let arena = arena.trim_end();
     let shards = shards_section();
     let shards = shards.trim_end();
     let qos = qos_section();
@@ -234,7 +231,7 @@ fn main() {
     let grid = grid_section();
 
     let json = format!(
-        "{{\n  \"campaign\": \"EXPERIMENTS.md full regeneration\",\n  \"host_cores\": {cores},\n  \"identical_output\": true,\n  \"serial\": {{\n    \"threads\": {},\n    \"wall_s\": {:.3},\n    \"events\": {},\n    \"events_per_s\": {:.0}\n  }},\n  \"parallel\": {{\n    \"threads\": {},\n    \"wall_s\": {:.3},\n    \"events\": {},\n    \"events_per_s\": {:.0}\n  }},\n  \"tracing_off\": {{\n    \"threads\": {},\n    \"wall_s\": {:.3},\n    \"events\": {},\n    \"events_per_s\": {:.0}\n  }},\n  \"tracing_overhead\": {:.3},\n  {speedup_json},\n{neighbors},\n{scheduler},\n{arena},\n{shards},\n{qos},\n{grid}}}\n",
+        "{{\n  \"campaign\": \"EXPERIMENTS.md full regeneration\",\n  \"host_cores\": {cores},\n  \"identical_output\": true,\n  \"serial\": {{\n    \"threads\": {},\n    \"wall_s\": {:.3},\n    \"events\": {},\n    \"events_per_s\": {:.0}\n  }},\n  \"parallel\": {{\n    \"threads\": {},\n    \"wall_s\": {:.3},\n    \"events\": {},\n    \"events_per_s\": {:.0}\n  }},\n  \"tracing_off\": {{\n    \"threads\": {},\n    \"wall_s\": {:.3},\n    \"events\": {},\n    \"events_per_s\": {:.0}\n  }},\n  \"tracing_overhead\": {:.3},\n  {speedup_json},\n{neighbors},\n{scheduler},\n{shards},\n{qos},\n{grid}}}\n",
         serial.threads,
         serial.wall_s,
         serial.events,
@@ -257,141 +254,59 @@ fn main() {
     print!("{json}");
 }
 
-/// Benchmarks both scheduler back ends on the SCALE-DCF 1000-station
-/// workload and returns the `"scheduler"` JSON object (indented two
-/// spaces, trailing newline). Panics on any digest disagreement.
+/// Replays the SCALE-DCF 1000-station op stream through the reference
+/// binary heap and the timer wheel and returns the `"scheduler"` JSON
+/// object (indented two spaces, trailing newline). The two queues
+/// alternate over `REPEATS` runs each so host drift hits both alike.
+/// Panics unless every replay pops the stream in the identical order.
 fn scheduler_section() -> String {
     const STATIONS: usize = 1000;
     const DURATION_MS: u64 = 200;
     const SEED: u64 = 42;
+    const REPEATS: usize = 5;
 
-    // Full simulation through each queue: same events, same metrics
-    // digest, wall-clock mostly MAC/PHY compute.
-    let mut full = Vec::new();
-    for kind in SchedulerKind::ALL {
-        eprintln!(
-            "perfsuite: SCALE-DCF n={STATIONS} dur={DURATION_MS}ms full sim on {}…",
-            kind.label()
-        );
-        let t0 = Instant::now();
-        let p = scale_dcf_point(STATIONS, DURATION_MS, SEED, kind);
-        full.push((kind, t0.elapsed().as_secs_f64(), p));
-    }
-    let (heap_full, wheel_full) = (&full[0], &full[1]);
-    assert_eq!(
-        (heap_full.2.events, heap_full.2.metrics_fnv),
-        (wheel_full.2.events, wheel_full.2.metrics_fnv),
-        "scheduler back ends diverged on the full SCALE-DCF run"
-    );
-
-    // The isolated queue comparison: record the exact push/pop stream
-    // of the same run, then replay it payload-free through each queue.
-    let ops = scale_dcf_op_log(STATIONS, DURATION_MS, SEED);
+    eprintln!("perfsuite: recording the SCALE-DCF n={STATIONS} dur={DURATION_MS}ms op stream…");
+    let (ops, events) = scale_dcf_op_log(STATIONS, DURATION_MS, SEED);
     let pushes = ops.iter().filter(|&&o| o != OP_POP).count();
-    let mut replay = Vec::new();
-    for kind in SchedulerKind::ALL {
-        let t0 = Instant::now();
-        let (pops, fnv) = replay_ops(kind, &ops);
-        let wall = t0.elapsed().as_secs_f64();
-        eprintln!(
-            "perfsuite: op-stream replay on {}: {pops} pops in {wall:.3} s ({:.0} ev/s)",
-            kind.label(),
-            pops as f64 / wall
-        );
-        replay.push((kind, wall, pops, fnv));
+    let mut walls: [Vec<f64>; 2] = Default::default();
+    let mut reference = None;
+    for rep in 1..=REPEATS {
+        for (kind, wall_v) in SchedulerKind::ALL.into_iter().zip(walls.iter_mut()) {
+            let t0 = Instant::now();
+            let replay = replay_ops(kind, &ops);
+            let wall = t0.elapsed().as_secs_f64();
+            eprintln!(
+                "perfsuite: op-stream replay on {}, run {rep}/{REPEATS}: {} pops in {wall:.3} s",
+                kind.label(),
+                replay.0
+            );
+            let reference = *reference.get_or_insert(replay);
+            assert_eq!(
+                replay,
+                reference,
+                "{} popped the op stream in a different order",
+                kind.label()
+            );
+            wall_v.push(wall);
+        }
     }
-    assert_eq!(
-        (replay[0].2, replay[0].3),
-        (replay[1].2, replay[1].3),
-        "scheduler back ends popped the op stream in different orders"
-    );
+    let (pops, fnv) = reference.expect("at least one replay");
+    assert_eq!(pops, events, "op stream pops != events the run processed");
+    let [heap, wheel] = walls.map(|mut v| spread(&mut v));
+    let speedup = heap.0 / wheel.0;
+    eprintln!("perfsuite: timer wheel vs heap: {speedup:.2}x on queue ops (medians)");
 
-    let full_rate =
-        |p: &(SchedulerKind, f64, wn_core::scenarios::ScaleDcfPoint)| p.2.events as f64 / p.1;
-    let replay_rate = |r: &(SchedulerKind, f64, u64, u64)| r.2 as f64 / r.1;
-    let full_speedup = full_rate(wheel_full) / full_rate(heap_full);
-    let replay_speedup = replay_rate(&replay[1]) / replay_rate(&replay[0]);
-    eprintln!(
-        "perfsuite: timer wheel vs heap: {full_speedup:.2}x full sim, {replay_speedup:.2}x queue ops"
-    );
-
+    let side = |(med, lo, hi): (f64, f64, f64)| {
+        format!(
+            "\"wall_s_median\": {med:.4}, \"wall_s_min\": {lo:.4}, \"wall_s_max\": {hi:.4}, \"pops_per_s_median\": {:.0}",
+            pops as f64 / med
+        )
+    };
     format!(
-        "  \"scheduler\": {{\n    \"workload\": \"SCALE-DCF stations={STATIONS} duration_ms={DURATION_MS} seed={SEED}\",\n    \"full_sim\": {{\n      \"heap\": {{ \"wall_s\": {:.3}, \"events\": {}, \"events_per_s\": {:.0} }},\n      \"wheel\": {{ \"wall_s\": {:.3}, \"events\": {}, \"events_per_s\": {:.0} }},\n      \"metrics_fnv\": \"{:016x}\",\n      \"identical_output\": true,\n      \"wheel_speedup\": {:.2}\n    }},\n    \"queue_op_replay\": {{\n      \"note\": \"recorded push/pop stream of the same run replayed payload-free through each queue\",\n      \"ops\": {},\n      \"pushes\": {pushes},\n      \"heap\": {{ \"wall_s\": {:.3}, \"pops\": {}, \"events_per_s\": {:.0} }},\n      \"wheel\": {{ \"wall_s\": {:.3}, \"pops\": {}, \"events_per_s\": {:.0} }},\n      \"pop_order_fnv\": \"{:016x}\",\n      \"identical_pop_order\": true,\n      \"wheel_speedup\": {:.2}\n    }}\n  }}\n",
-        heap_full.1,
-        heap_full.2.events,
-        full_rate(heap_full),
-        wheel_full.1,
-        wheel_full.2.events,
-        full_rate(wheel_full),
-        heap_full.2.metrics_fnv,
-        full_speedup,
+        "  \"scheduler\": {{\n    \"workload\": \"SCALE-DCF stations={STATIONS} duration_ms={DURATION_MS} seed={SEED}\",\n    \"queue_op_replay\": {{\n      \"note\": \"recorded push/pop stream of the run replayed payload-free through each queue, {REPEATS} alternating repeats each\",\n      \"repeats\": {REPEATS},\n      \"ops\": {},\n      \"pushes\": {pushes},\n      \"pops\": {pops},\n      \"heap\": {{ {} }},\n      \"wheel\": {{ {} }},\n      \"pop_order_fnv\": \"{fnv:016x}\",\n      \"identical_pop_order\": true,\n      \"wheel_speedup\": {speedup:.2}\n    }}\n  }}\n",
         ops.len(),
-        replay[0].1,
-        replay[0].2,
-        replay_rate(&replay[0]),
-        replay[1].1,
-        replay[1].2,
-        replay_rate(&replay[1]),
-        replay[0].3,
-        replay_speedup,
-    )
-}
-
-/// Benchmarks the frame-arena hot path: the SCALE-DCF full simulation
-/// on both scheduler back ends, reported against the recorded
-/// `Rc<Frame>` baseline (the representation the arena replaced). The
-/// baseline figures are the `scheduler.full_sim` numbers captured in
-/// `BENCH_campaign.json` on this workload immediately before the
-/// arena/SoA refactor — kept verbatim so the before/after comparison
-/// survives regeneration. Panics if the back ends disagree on events
-/// or metrics digest.
-fn arena_section() -> String {
-    const STATIONS: usize = 1000;
-    const DURATION_MS: u64 = 200;
-    const SEED: u64 = 42;
-    // Pre-arena (Rc<Frame>, AoS station structs) events/s on this
-    // machine class, from the PR5 BENCH_campaign.json.
-    const BASELINE_HEAP_EV_S: f64 = 650_891.0;
-    const BASELINE_WHEEL_EV_S: f64 = 801_143.0;
-
-    let mut runs = Vec::new();
-    for kind in SchedulerKind::ALL {
-        eprintln!(
-            "perfsuite: arena SCALE-DCF n={STATIONS} dur={DURATION_MS}ms on {}…",
-            kind.label()
-        );
-        let t0 = Instant::now();
-        let p = scale_dcf_point(STATIONS, DURATION_MS, SEED, kind);
-        let wall = t0.elapsed().as_secs_f64();
-        eprintln!(
-            "perfsuite: arena on {}: {wall:.3} s ({:.0} ev/s)",
-            kind.label(),
-            p.events as f64 / wall
-        );
-        runs.push((kind, wall, p));
-    }
-    assert_eq!(
-        (runs[0].2.events, runs[0].2.metrics_fnv),
-        (runs[1].2.events, runs[1].2.metrics_fnv),
-        "scheduler back ends diverged on the arena workload"
-    );
-    let heap_rate = runs[0].2.events as f64 / runs[0].1;
-    let wheel_rate = runs[1].2.events as f64 / runs[1].1;
-    eprintln!(
-        "perfsuite: arena vs Rc<Frame> baseline: {:.2}x heap, {:.2}x wheel",
-        heap_rate / BASELINE_HEAP_EV_S,
-        wheel_rate / BASELINE_WHEEL_EV_S
-    );
-
-    format!(
-        "  \"arena\": {{\n    \"workload\": \"SCALE-DCF stations={STATIONS} duration_ms={DURATION_MS} seed={SEED}, frame arena + SoA DCF state\",\n    \"before\": {{\n      \"note\": \"Rc<Frame> + AoS station structs, recorded before the arena refactor\",\n      \"heap_events_per_s\": {BASELINE_HEAP_EV_S:.0},\n      \"wheel_events_per_s\": {BASELINE_WHEEL_EV_S:.0}\n    }},\n    \"after\": {{\n      \"heap\": {{ \"wall_s\": {:.3}, \"events\": {}, \"events_per_s\": {heap_rate:.0} }},\n      \"wheel\": {{ \"wall_s\": {:.3}, \"events\": {}, \"events_per_s\": {wheel_rate:.0} }},\n      \"metrics_fnv\": \"{:016x}\",\n      \"identical_output\": true\n    }},\n    \"speedup_vs_baseline\": {{ \"heap\": {:.2}, \"wheel\": {:.2} }}\n  }}\n",
-        runs[0].1,
-        runs[0].2.events,
-        runs[1].1,
-        runs[1].2.events,
-        runs[0].2.metrics_fnv,
-        heap_rate / BASELINE_HEAP_EV_S,
-        wheel_rate / BASELINE_WHEEL_EV_S,
+        side(heap),
+        side(wheel),
     )
 }
 
@@ -553,13 +468,7 @@ fn neighbors_section() -> String {
             let label = if cache { "cached" } else { "direct" };
             eprintln!("perfsuite: SCALE-DCF n={stations} dur={DURATION_MS}ms {label} propagation…");
             let t0 = Instant::now();
-            let p = scale_dcf_point_opts(
-                stations,
-                DURATION_MS,
-                SEED,
-                SchedulerKind::BinaryHeap,
-                cache,
-            );
+            let p = scale_dcf_point_opts(stations, DURATION_MS, SEED, cache);
             let wall = t0.elapsed().as_secs_f64();
             eprintln!(
                 "perfsuite: SCALE-DCF n={stations} {label}: {wall:.3} s ({:.0} ev/s)",
@@ -580,7 +489,7 @@ fn neighbors_section() -> String {
     }
 
     let mut out = format!(
-        "  \"neighbors\": {{\n    \"workload\": \"SCALE-DCF duration_ms={DURATION_MS} seed={SEED}, binary-heap scheduler, cached vs direct propagation\",\n"
+        "  \"neighbors\": {{\n    \"workload\": \"SCALE-DCF duration_ms={DURATION_MS} seed={SEED}, cached vs direct propagation\",\n"
     );
     for (i, (stations, cached_s, direct_s, p, speedup)) in rows.iter().enumerate() {
         let sep = if i + 1 < rows.len() { "," } else { "" };

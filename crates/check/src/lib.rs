@@ -13,7 +13,8 @@
 //! - [`oracle::oracles`] is the pluggable invariant set checked
 //!   against those artifacts — NAV respected, retry limits honoured,
 //!   frame conservation, no duplicate delivery, legal state-machine
-//!   transitions, DCF fairness, and per-world conservation ledgers.
+//!   transitions, DCF fairness, per-world conservation ledgers, and
+//!   scheduler order.
 //! - [`shrink::shrink`] minimises a failing scenario (halve stations,
 //!   traffic and duration while the violation reproduces).
 //!
@@ -21,11 +22,12 @@
 //! failing seed replays byte-for-byte: the `fuzz` binary in `wn-bench`
 //! prints `fuzz --seed N --shrink` as the one-line repro command.
 //!
-//! Every run can also execute on either scheduler back end
-//! ([`run::run_scenario_with`]): the differential mode (`fuzz --dual`)
-//! replays each seed through the binary heap and the timer wheel and
-//! demands identical trace and metrics fingerprints, which is how the
-//! wheel earns the right to be swapped in under big campaigns.
+//! Every run records its scheduler op stream, and the scheduler-order
+//! oracle ([`oracle::SchedulerOrder`]) replays it through the timer
+//! wheel and the reference binary heap, demanding the same pop order.
+//! The world is deterministic, so equal pop order on the run's own
+//! stream means a heap-driven run would be byte-identical — the
+//! engine needs no second queue to prove its one queue right.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,9 +40,9 @@ pub mod shrink;
 
 pub use oracle::{oracles, Invariant, Violation};
 pub use run::{
-    check_range, check_range_gen, check_range_opts, check_range_with, check_seed, check_seed_gen,
-    check_seed_opts, check_seed_with, line_world_run, range_digest, range_digest_with, run_oracles,
-    run_scenario, run_scenario_opts, run_scenario_with, LineRun, SeedReport, LINE_WORLD_SPACINGS,
+    check_range, check_range_gen, check_range_opts, check_seed, check_seed_gen, check_seed_opts,
+    line_world_run, range_digest, run_oracles, run_scenario, run_scenario_opts, LineRun,
+    SeedReport, LINE_WORLD_SPACINGS,
 };
 pub use scenario::{Scenario, ScenarioGen, ScenarioKind};
 pub use shard::{

@@ -13,6 +13,7 @@ use std::collections::HashMap;
 use crate::run::Artifacts;
 use wn_net80211::ap::MAX_AID;
 use wn_sim::trace::{DropReason, FrameKind, TraceEvent};
+use wn_sim::{replay_ops, SchedulerKind};
 
 /// One oracle failure, tied to the oracle that raised it.
 #[derive(Clone, Debug)]
@@ -56,6 +57,7 @@ pub fn oracles() -> Vec<Box<dyn Invariant>> {
         Box::new(GridCoherence),
         Box::new(BlockAckConservation),
         Box::new(EdcaPriorityInversion),
+        Box::new(SchedulerOrder),
     ]
 }
 
@@ -852,6 +854,47 @@ impl Invariant for WmanGrantConservation {
                     format!("ss {ss} uplink: granted {granted} but delivered {delivered}"),
                 ));
             }
+        }
+        out
+    }
+}
+
+/// Scheduler order: the run's recorded op stream pops in the same
+/// order through the reference binary heap as through the timer wheel
+/// (pop count and FNV of the popped keys), and the pop count equals
+/// the events the engine processed. The world is deterministic, so a
+/// queue that pops the run's own push stream in the reference order at
+/// every step would have delivered the same events, in the same order,
+/// to the same handlers: a heap run would push the same keys, and its
+/// trace and metrics would be byte-identical to this one.
+pub struct SchedulerOrder;
+
+impl Invariant for SchedulerOrder {
+    fn name(&self) -> &'static str {
+        "scheduler-order"
+    }
+
+    fn check(&self, art: &Artifacts) -> Vec<Violation> {
+        let heap = replay_ops(SchedulerKind::BinaryHeap, &art.op_log);
+        let wheel = replay_ops(SchedulerKind::TimerWheel, &art.op_log);
+        let mut out = Vec::new();
+        if heap != wheel {
+            out.push(v(
+                self.name(),
+                format!(
+                    "wheel popped {} keys (fnv {:016x}), reference heap {} (fnv {:016x})",
+                    wheel.0, wheel.1, heap.0, heap.1
+                ),
+            ));
+        }
+        if wheel.0 != art.processed {
+            out.push(v(
+                self.name(),
+                format!(
+                    "op stream holds {} pops but the engine processed {} events",
+                    wheel.0, art.processed
+                ),
+            ));
         }
         out
     }

@@ -32,7 +32,7 @@ use wn_phy::units::Dbm;
 use wn_sim::par::par_map_with;
 use wn_sim::stats::fnv1a;
 use wn_sim::trace::Trace;
-use wn_sim::{SchedulerKind, SimDuration, SimTime, Simulation};
+use wn_sim::{SimDuration, SimTime, Simulation};
 use wn_wman::link::WimaxLink;
 use wn_wman::scheduler::{boot as wman_boot, BaseStation, ServiceClass, WimaxEvent};
 use wn_wpan::bluetooth::{boot as bt_boot, fig_1_2_scatternet, BtNetwork, DeviceClass};
@@ -134,11 +134,17 @@ pub struct Artifacts {
     /// The world's typed trace, moved out intact.
     pub trace: Trace,
     /// FNV-1a hash of the end-of-run metrics snapshot JSONL — the
-    /// second fingerprint (besides the trace) the differential
-    /// scheduler check compares across back ends.
+    /// second fingerprint (besides the trace) the differential modes
+    /// compare.
     pub metrics_fnv: u64,
     /// Virtual end time.
     pub end: SimTime,
+    /// The scheduler op stream recorded from right after the
+    /// simulation was built ([`wn_sim::Scheduler::record_ops`]) — what
+    /// the scheduler-order oracle replays through the reference heap.
+    pub op_log: Vec<u128>,
+    /// Events the engine processed over the whole run.
+    pub processed: u64,
     /// WLAN facts (flat and ESS scenarios).
     pub wlan: Option<WlanFacts>,
     /// ZigBee facts.
@@ -181,34 +187,23 @@ impl UpperLayer for CheckUpper {
     }
 }
 
-/// Runs one scenario to completion on the default scheduler back end
-/// and returns its artifacts.
+/// Runs one scenario to completion and returns its artifacts.
 pub fn run_scenario(sc: &Scenario) -> Artifacts {
-    run_scenario_with(sc, SchedulerKind::default())
+    run_scenario_opts(sc, true)
 }
 
-/// Runs one scenario on an explicit scheduler back end.
-///
-/// Scenario semantics never depend on the back end — this entry point
-/// exists so the differential fuzz mode can replay the same seed
-/// through both queues and demand identical fingerprints.
-pub fn run_scenario_with(sc: &Scenario, kind: SchedulerKind) -> Artifacts {
-    run_scenario_opts(sc, kind, true)
-}
-
-/// Runs one scenario with an explicit scheduler back end *and*
-/// neighbor-cache switch. The cached and direct propagation paths must
-/// be byte-identical — the `--cache-diff` fuzz mode replays the same
-/// seed through both and demands identical fingerprints, exactly like
-/// the dual-scheduler mode does for queue back ends. Non-WLAN worlds
-/// have no such cache; the flag is ignored for them.
-pub fn run_scenario_opts(sc: &Scenario, kind: SchedulerKind, neighbor_cache: bool) -> Artifacts {
+/// Runs one scenario with an explicit neighbor-cache switch. The
+/// cached and direct propagation paths must be byte-identical — the
+/// `--cache-diff` fuzz mode replays the same seed through both and
+/// demands identical fingerprints. Non-WLAN worlds have no such cache;
+/// the flag is ignored for them.
+pub fn run_scenario_opts(sc: &Scenario, neighbor_cache: bool) -> Artifacts {
     match &sc.kind {
-        ScenarioKind::Wlan(w) => run_wlan(sc.seed, w, kind, neighbor_cache),
-        ScenarioKind::Ess(e) => run_ess(sc.seed, e, kind, neighbor_cache),
-        ScenarioKind::Bluetooth(b) => run_bt(b, kind),
-        ScenarioKind::Zigbee(z) => run_zigbee(sc.seed, z, kind),
-        ScenarioKind::Wman(w) => run_wman(w, kind),
+        ScenarioKind::Wlan(w) => run_wlan(sc.seed, w, neighbor_cache),
+        ScenarioKind::Ess(e) => run_ess(sc.seed, e, neighbor_cache),
+        ScenarioKind::Bluetooth(b) => run_bt(b),
+        ScenarioKind::Zigbee(z) => run_zigbee(sc.seed, z),
+        ScenarioKind::Wman(w) => run_wman(w),
     }
 }
 
@@ -332,7 +327,7 @@ pub(crate) fn wlan_ac_of(g: usize, k: u64) -> AccessCategory {
     AccessCategory::from_index((g + k as usize) % 4).expect("4 ACs")
 }
 
-fn run_wlan(seed: u64, w: &WlanScenario, kind: SchedulerKind, neighbor_cache: bool) -> Artifacts {
+fn run_wlan(seed: u64, w: &WlanScenario, neighbor_cache: bool) -> Artifacts {
     let delivered = Arc::new(Mutex::new(Vec::new()));
     let mut world = WlanWorld::new(wlan_config(seed, w));
     world.set_neighbor_cache(neighbor_cache);
@@ -356,7 +351,8 @@ fn run_wlan(seed: u64, w: &WlanScenario, kind: SchedulerKind, neighbor_cache: bo
     // shard-coherence oracle.
     let plan = world.shard_plan(SimTime::ZERO, None);
 
-    let mut sim = Simulation::with_scheduler(world, kind);
+    let mut sim = Simulation::new(world);
+    sim.scheduler_mut().record_ops();
     wlan_boot(&mut sim);
     for g in 0..w.total_stations() {
         let Some(sink) = wlan_sink_of(w, g) else {
@@ -386,6 +382,7 @@ fn run_wlan(seed: u64, w: &WlanScenario, kind: SchedulerKind, neighbor_cache: bo
         grid_coherence.extend(sim.world().grid_incoherence(slice_end));
     }
 
+    let (op_log, processed) = (sim.scheduler_mut().take_op_log(), sim.processed());
     let mut world = sim.into_world();
     let delivered = std::mem::take(&mut *delivered.lock().expect("delivery log lock"));
     let facts = wlan_facts(
@@ -402,6 +399,8 @@ fn run_wlan(seed: u64, w: &WlanScenario, kind: SchedulerKind, neighbor_cache: bo
         trace: std::mem::take(&mut world.trace),
         metrics_fnv: fnv1a(world.metrics_snapshot(end).to_jsonl("fuzz").as_bytes()),
         end,
+        op_log,
+        processed,
         wlan: Some(facts),
         zigbee: None,
         bt: None,
@@ -417,7 +416,6 @@ fn run_wlan(seed: u64, w: &WlanScenario, kind: SchedulerKind, neighbor_cache: bo
 pub(crate) fn build_ess_sim(
     seed: u64,
     e: &EssScenario,
-    kind: SchedulerKind,
     neighbor_cache: bool,
 ) -> Simulation<WlanWorld> {
     let ssid = Ssid::new("Fuzz").expect("valid ssid");
@@ -425,7 +423,6 @@ pub(crate) fn build_ess_sim(
     mac.seed = seed;
     let channels: Vec<u8> = if e.aps == 2 { vec![1, 6] } else { vec![1] };
     let mut builder = EssBuilder::new(mac, ssid.clone())
-        .scheduler(kind)
         .neighbor_cache(neighbor_cache)
         .ap(Point::new(0.0, 0.0), 1);
     if e.aps == 2 {
@@ -458,8 +455,11 @@ pub(crate) fn build_ess_sim(
     ess.sim
 }
 
-fn run_ess(seed: u64, e: &EssScenario, kind: SchedulerKind, neighbor_cache: bool) -> Artifacts {
-    let mut sim = build_ess_sim(seed, e, kind, neighbor_cache);
+fn run_ess(seed: u64, e: &EssScenario, neighbor_cache: bool) -> Artifacts {
+    let mut sim = build_ess_sim(seed, e, neighbor_cache);
+    // The build already booted the world; the log opens with those
+    // pending keys.
+    sim.scheduler_mut().record_ops();
     // The execution partition of an ESS is the trivial single shard
     // (see `build_ess_sim`); re-validating it at each slice still
     // catches station-set drift under mobility.
@@ -484,6 +484,7 @@ fn run_ess(seed: u64, e: &EssScenario, kind: SchedulerKind, neighbor_cache: bool
         grid_coherence.extend(sim.world().grid_incoherence(slice_end));
     }
 
+    let (op_log, processed) = (sim.scheduler_mut().take_op_log(), sim.processed());
     let mut world = sim.into_world();
     // Channel switching (scanning / roaming) silently clears NAV, so
     // NAV reasoning is unsound here; fairness likewise (uppers differ).
@@ -501,6 +502,8 @@ fn run_ess(seed: u64, e: &EssScenario, kind: SchedulerKind, neighbor_cache: bool
         trace: std::mem::take(&mut world.trace),
         metrics_fnv: fnv1a(world.metrics_snapshot(end).to_jsonl("fuzz").as_bytes()),
         end,
+        op_log,
+        processed,
         wlan: Some(facts),
         zigbee: None,
         bt: None,
@@ -508,7 +511,7 @@ fn run_ess(seed: u64, e: &EssScenario, kind: SchedulerKind, neighbor_cache: bool
     }
 }
 
-fn run_bt(b: &BtScenario, kind: SchedulerKind) -> Artifacts {
+fn run_bt(b: &BtScenario) -> Artifacts {
     let (mut net, devices) = if b.scatternet {
         let (net, _pa, _pb, _bridge) = fig_1_2_scatternet(b.slaves_a, b.slaves_b);
         let count = b.device_count();
@@ -535,11 +538,13 @@ fn run_bt(b: &BtScenario, kind: SchedulerKind) -> Artifacts {
         }
     }
 
-    let mut sim = Simulation::with_scheduler(net, kind);
+    let mut sim = Simulation::new(net);
+    sim.scheduler_mut().record_ops();
     bt_boot(&mut sim);
     let end = SimTime::from_millis(b.duration_ms);
     sim.run_until(end);
 
+    let (op_log, processed) = (sim.scheduler_mut().take_op_log(), sim.processed());
     let mut world = sim.into_world();
     let delivered = devices.iter().map(|&d| world.delivered_bytes(d)).sum();
     let facts = BtFacts {
@@ -551,6 +556,8 @@ fn run_bt(b: &BtScenario, kind: SchedulerKind) -> Artifacts {
         trace: std::mem::take(&mut world.trace),
         metrics_fnv: fnv1a(world.metrics_snapshot(end).to_jsonl("fuzz").as_bytes()),
         end,
+        op_log,
+        processed,
         wlan: None,
         zigbee: None,
         bt: Some(facts),
@@ -558,7 +565,7 @@ fn run_bt(b: &BtScenario, kind: SchedulerKind) -> Artifacts {
     }
 }
 
-fn run_zigbee(seed: u64, z: &ZigbeeScenario, kind: SchedulerKind) -> Artifacts {
+fn run_zigbee(seed: u64, z: &ZigbeeScenario) -> Artifacts {
     let mut net = match z.topology {
         ZigbeeTopology::Star { n, radius_m } => star(n, radius_m, seed).0,
         ZigbeeTopology::Mesh {
@@ -570,7 +577,8 @@ fn run_zigbee(seed: u64, z: &ZigbeeScenario, kind: SchedulerKind) -> Artifacts {
     net.trace = Trace::new(TRACE_CAPACITY);
     let nodes = z.topology.node_count();
 
-    let mut sim = Simulation::with_scheduler(net, kind);
+    let mut sim = Simulation::new(net);
+    sim.scheduler_mut().record_ops();
     for &(src, dst, bytes, at_ms) in &z.sends {
         if src < nodes && dst < nodes && src != dst {
             sim.scheduler_mut().schedule_at(
@@ -582,6 +590,7 @@ fn run_zigbee(seed: u64, z: &ZigbeeScenario, kind: SchedulerKind) -> Artifacts {
     let end = SimTime::from_millis(z.duration_ms);
     sim.run_until(end);
 
+    let (op_log, processed) = (sim.scheduler_mut().take_op_log(), sim.processed());
     let mut world = sim.into_world();
     let facts = ZigbeeFacts {
         offered: world.offered(),
@@ -594,6 +603,8 @@ fn run_zigbee(seed: u64, z: &ZigbeeScenario, kind: SchedulerKind) -> Artifacts {
         trace: std::mem::take(&mut world.trace),
         metrics_fnv: fnv1a(world.metrics_snapshot(end).to_jsonl("fuzz").as_bytes()),
         end,
+        op_log,
+        processed,
         wlan: None,
         zigbee: Some(facts),
         bt: None,
@@ -601,7 +612,7 @@ fn run_zigbee(seed: u64, z: &ZigbeeScenario, kind: SchedulerKind) -> Artifacts {
     }
 }
 
-fn run_wman(w: &WmanScenario, kind: SchedulerKind) -> Artifacts {
+fn run_wman(w: &WmanScenario) -> Artifacts {
     const CLASSES: [ServiceClass; 4] = [
         ServiceClass::Ugs,
         ServiceClass::Rtps,
@@ -619,7 +630,8 @@ fn run_wman(w: &WmanScenario, kind: SchedulerKind) -> Artifacts {
         .map(|s| bs.add_subscriber(s.dist_m, s.obstructed, CLASSES[s.class % 4], s.reserved_bps))
         .collect();
 
-    let mut sim = Simulation::with_scheduler(bs, kind);
+    let mut sim = Simulation::new(bs);
+    sim.scheduler_mut().record_ops();
     wman_boot(&mut sim);
     for (spec, id) in w.subs.iter().zip(&admitted) {
         let Some(ss) = *id else { continue };
@@ -645,6 +657,7 @@ fn run_wman(w: &WmanScenario, kind: SchedulerKind) -> Artifacts {
     let end = SimTime::from_millis(w.duration_ms);
     sim.run_until(end);
 
+    let (op_log, processed) = (sim.scheduler_mut().take_op_log(), sim.processed());
     let mut world = sim.into_world();
     let n = world.subscriber_count();
     let facts = WmanFacts {
@@ -655,6 +668,8 @@ fn run_wman(w: &WmanScenario, kind: SchedulerKind) -> Artifacts {
         trace: std::mem::take(&mut world.trace),
         metrics_fnv: fnv1a(world.metrics_snapshot(end).to_jsonl("fuzz").as_bytes()),
         end,
+        op_log,
+        processed,
         wlan: None,
         zigbee: None,
         bt: None,
@@ -695,29 +710,19 @@ pub struct SeedReport {
 
 /// Generates, runs and checks the scenario for `seed`.
 pub fn check_seed(seed: u64) -> SeedReport {
-    check_seed_with(seed, SchedulerKind::default())
+    check_seed_opts(seed, true)
 }
 
-/// [`check_seed`] on an explicit scheduler back end.
-pub fn check_seed_with(seed: u64, scheduler: SchedulerKind) -> SeedReport {
-    check_seed_opts(seed, scheduler, true)
-}
-
-/// [`check_seed`] with explicit scheduler and neighbor-cache choices.
-pub fn check_seed_opts(seed: u64, scheduler: SchedulerKind, neighbor_cache: bool) -> SeedReport {
-    check_seed_gen(&ScenarioGen::default(), seed, scheduler, neighbor_cache)
+/// [`check_seed`] with an explicit neighbor-cache switch.
+pub fn check_seed_opts(seed: u64, neighbor_cache: bool) -> SeedReport {
+    check_seed_gen(&ScenarioGen::default(), seed, neighbor_cache)
 }
 
 /// [`check_seed_opts`] under an explicit scenario generator — how the
 /// `--qos` corpus and the fail-point self-tests run seeds.
-pub fn check_seed_gen(
-    gen: &ScenarioGen,
-    seed: u64,
-    scheduler: SchedulerKind,
-    neighbor_cache: bool,
-) -> SeedReport {
+pub fn check_seed_gen(gen: &ScenarioGen, seed: u64, neighbor_cache: bool) -> SeedReport {
     let sc = gen.scenario(seed);
-    let art = run_scenario_opts(&sc, scheduler, neighbor_cache);
+    let art = run_scenario_opts(&sc, neighbor_cache);
     let violations = run_oracles(&art);
     SeedReport {
         seed,
@@ -736,25 +741,14 @@ pub fn check_seed_gen(
 /// reports — including every trace fingerprint — are identical for any
 /// `threads` value.
 pub fn check_range(start: u64, count: u64, threads: usize) -> Vec<SeedReport> {
-    check_range_with(start, count, threads, SchedulerKind::default())
+    check_range_opts(start, count, threads, true)
 }
 
-/// [`check_range`] on an explicit scheduler back end.
-pub fn check_range_with(
-    start: u64,
-    count: u64,
-    threads: usize,
-    scheduler: SchedulerKind,
-) -> Vec<SeedReport> {
-    check_range_opts(start, count, threads, scheduler, true)
-}
-
-/// [`check_range`] with explicit scheduler and neighbor-cache choices.
+/// [`check_range`] with an explicit neighbor-cache switch.
 pub fn check_range_opts(
     start: u64,
     count: u64,
     threads: usize,
-    scheduler: SchedulerKind,
     neighbor_cache: bool,
 ) -> Vec<SeedReport> {
     check_range_gen(
@@ -762,7 +756,6 @@ pub fn check_range_opts(
         start,
         count,
         threads,
-        scheduler,
         neighbor_cache,
     )
 }
@@ -773,12 +766,11 @@ pub fn check_range_gen(
     start: u64,
     count: u64,
     threads: usize,
-    scheduler: SchedulerKind,
     neighbor_cache: bool,
 ) -> Vec<SeedReport> {
     let seeds: Vec<u64> = (start..start + count).collect();
     par_map_with(threads, seeds, move |seed| {
-        check_seed_gen(&gen, seed, scheduler, neighbor_cache)
+        check_seed_gen(&gen, seed, neighbor_cache)
     })
 }
 
@@ -786,20 +778,8 @@ pub fn check_range_gen(
 /// one line per seed with kind, event count, violation count and the
 /// trace and metrics fingerprints.
 pub fn range_digest(start: u64, count: u64, threads: usize) -> String {
-    range_digest_with(start, count, threads, SchedulerKind::default())
-}
-
-/// [`range_digest`] on an explicit scheduler back end. The digest
-/// deliberately omits the back-end label: both schedulers must produce
-/// byte-identical output for the same seed range.
-pub fn range_digest_with(
-    start: u64,
-    count: u64,
-    threads: usize,
-    scheduler: SchedulerKind,
-) -> String {
     let mut out = String::new();
-    for r in check_range_with(start, count, threads, scheduler) {
+    for r in check_range(start, count, threads) {
         out.push_str(&format!(
             "{{\"seed\":{},\"kind\":\"{}\",\"events\":{},\"violations\":{},\"trace_fnv\":\"{:016x}\",\"metrics_fnv\":\"{:016x}\"}}\n",
             r.seed,

@@ -7,9 +7,9 @@
 //! [`run_components`] at 1 worker (the serial reference) and again at
 //! 2 and 4 workers, digesting traces and metrics in shard order; the
 //! digests must be byte-identical — the same differential contract
-//! `--dual` enforces across scheduler back ends and `--cache-diff`
-//! across propagation paths. A single-component plan additionally
-//! bridges to the classic engine: its composition is the very same
+//! `--cache-diff` enforces across propagation paths. A
+//! single-component plan additionally bridges to the classic engine:
+//! its composition is the very same
 //! construction `run_scenario` executes, so the digests must equal
 //! the classic fingerprints too (verified by a unit test here, which
 //! also pins an ESS run in one `run_until` against the classic
@@ -202,7 +202,6 @@ mod tests {
     use super::*;
     use crate::run::{build_ess_sim, check_seed};
     use wn_sim::stats::fnv1a;
-    use wn_sim::SchedulerKind;
 
     fn first_seed_of_kind(kind: &str, pred: impl Fn(&Scenario) -> bool) -> (u64, Scenario) {
         for seed in 0..500 {
@@ -243,9 +242,8 @@ mod tests {
                 unreachable!("picked an ess scenario")
             };
             let horizon = SimTime::from_secs(e.duration_s);
-            let (_, composed) = run_components(1, horizon, 1, "fuzz", |_| {
-                build_ess_sim(seed, e, SchedulerKind::default(), true)
-            });
+            let (_, composed) =
+                run_components(1, horizon, 1, "fuzz", |_| build_ess_sim(seed, e, true));
             let classic = check_seed(seed);
             assert!(composed.events > 0, "ess seed {seed} must run");
             assert_eq!(

@@ -121,6 +121,24 @@ fn ledger_oracle_fires_on_imbalance() {
     );
 }
 
+#[test]
+fn scheduler_order_oracle_fires_on_a_truncated_op_log() {
+    // Vacuity guard: a clean run's op log with its final pop marker
+    // dropped still replays identically through both queues, but one
+    // pop short of the events the engine processed.
+    let mut art = run::run_scenario(&planted_bug_scenario(4, false));
+    assert!(run::run_oracles(&art).is_empty(), "control run violated");
+    let last_pop = art
+        .op_log
+        .iter()
+        .rposition(|&op| op == wn_sim::OP_POP)
+        .expect("the run popped events");
+    art.op_log.remove(last_pop);
+    let violations = run::run_oracles(&art);
+    assert_eq!(violations.len(), 1, "{violations:?}");
+    assert_eq!(violations[0].oracle, "scheduler-order");
+}
+
 /// A contended, fully-draining EDCA world — the regime where the
 /// priority-inversion oracle's censoring guards all pass. Drawn from
 /// the QoS corpus itself (seed 1, which the `--qos` self-test leg
@@ -139,7 +157,7 @@ fn qos_scenario(aifsn_swap: bool) -> Scenario {
 fn qos_seeds_are_clean() {
     let gen = ScenarioGen::with_qos();
     for seed in 0..30 {
-        let r = wn_check::check_seed_gen(&gen, seed, Default::default(), true);
+        let r = wn_check::check_seed_gen(&gen, seed, true);
         assert!(
             r.violations.is_empty(),
             "qos seed {} ({}) violated: {:?}",

@@ -21,7 +21,7 @@ use wn_phy::medium::{LinkBudget, Radio};
 use wn_phy::modulation::PhyStandard;
 use wn_phy::propagation::{LogDistance, Shadowing};
 use wn_sim::stats::Figure;
-use wn_sim::{par_map, worker_count, SchedulerKind, SimDuration, SimTime, Simulation};
+use wn_sim::{par_map, replay_ops, worker_count, SchedulerKind, SimDuration, SimTime, Simulation};
 
 /// FIG-1.1 — the classification scatter: nominal range vs peak rate
 /// per technology, measured.
@@ -1421,8 +1421,8 @@ pub fn table_8_1() -> ExperimentReport {
 // collapses as contention grows; no figure of the source text pushes
 // past a handful of stations, so this experiment family extends the
 // reproduction to a BSS of up to 1000 saturated senders. It doubles as
-// the dense-timer workload the scheduler back ends are benchmarked and
-// differentially tested on (`perfsuite`, DESIGN.md §12).
+// the dense-timer workload the timer wheel is benchmarked and checked
+// against the reference heap on (`perfsuite`, DESIGN.md §12).
 // ---------------------------------------------------------------------
 
 /// Payload bytes per MSDU in the SCALE-DCF workload.
@@ -1451,7 +1451,7 @@ pub struct ScaleDcfPoint {
     /// Events the engine delivered.
     pub events: u64,
     /// FNV-1a of the metrics snapshot JSONL — the fingerprint the
-    /// scheduler-equivalence checks compare across back ends.
+    /// cached-vs-direct propagation checks compare.
     pub metrics_fnv: u64,
 }
 
@@ -1462,13 +1462,8 @@ pub struct ScaleDcfPoint {
 /// 90% of the horizon — so the scheduler carries tens of thousands of
 /// pending timers for the entire run, the dense-timer regime calendar
 /// queues were built for.
-pub fn scale_dcf_sim(
-    stations: usize,
-    duration_ms: u64,
-    seed: u64,
-    kind: SchedulerKind,
-) -> Simulation<WlanWorld> {
-    scale_dcf_sim_opts(stations, duration_ms, seed, kind, true)
+pub fn scale_dcf_sim(stations: usize, duration_ms: u64, seed: u64) -> Simulation<WlanWorld> {
+    scale_dcf_sim_opts(stations, duration_ms, seed, true)
 }
 
 /// [`scale_dcf_sim`] with the neighbor cache forced on or off — the
@@ -1478,12 +1473,11 @@ pub fn scale_dcf_sim_opts(
     stations: usize,
     duration_ms: u64,
     seed: u64,
-    kind: SchedulerKind,
     neighbor_cache: bool,
 ) -> Simulation<WlanWorld> {
     let (mut world, frames_per_sender) = scale_dcf_world(stations, duration_ms, seed);
     world.set_neighbor_cache(neighbor_cache);
-    let mut sim = Simulation::with_scheduler(world, kind);
+    let mut sim = Simulation::new(world);
     scale_dcf_load(&mut sim, stations, duration_ms, frames_per_sender);
     sim
 }
@@ -1547,27 +1541,22 @@ fn scale_dcf_load(
 }
 
 /// Records the exact scheduler op stream (pushed keys + pop markers) a
-/// SCALE-DCF point generates, for replaying through both back ends in
-/// isolation — see [`wn_sim::replay_ops`]. Recording starts before
-/// boot, so every pop in the stream has a matching recorded push.
-pub fn scale_dcf_op_log(stations: usize, duration_ms: u64, seed: u64) -> Vec<u128> {
+/// SCALE-DCF point generates, for replaying through the wheel and the
+/// reference heap in isolation — see [`wn_sim::replay_ops`]. Returns
+/// the stream and the number of events the run processed.
+pub fn scale_dcf_op_log(stations: usize, duration_ms: u64, seed: u64) -> (Vec<u128>, u64) {
     let (world, frames_per_sender) = scale_dcf_world(stations, duration_ms, seed);
     let mut sim = Simulation::new(world);
     sim.scheduler_mut().record_ops();
     scale_dcf_load(&mut sim, stations, duration_ms, frames_per_sender);
     sim.run_until(SimTime::from_millis(duration_ms));
-    sim.scheduler_mut().take_op_log()
+    (sim.scheduler_mut().take_op_log(), sim.processed())
 }
 
-/// Runs one saturated-BSS point on the chosen scheduler back end and
-/// reduces it to throughput, fairness, delay and digest observables.
-pub fn scale_dcf_point(
-    stations: usize,
-    duration_ms: u64,
-    seed: u64,
-    kind: SchedulerKind,
-) -> ScaleDcfPoint {
-    scale_dcf_point_opts(stations, duration_ms, seed, kind, true)
+/// Runs one saturated-BSS point and reduces it to throughput, fairness,
+/// delay and digest observables.
+pub fn scale_dcf_point(stations: usize, duration_ms: u64, seed: u64) -> ScaleDcfPoint {
+    scale_dcf_point_opts(stations, duration_ms, seed, true)
 }
 
 /// [`scale_dcf_point`] with the neighbor cache forced on or off.
@@ -1575,10 +1564,9 @@ pub fn scale_dcf_point_opts(
     stations: usize,
     duration_ms: u64,
     seed: u64,
-    kind: SchedulerKind,
     neighbor_cache: bool,
 ) -> ScaleDcfPoint {
-    let mut sim = scale_dcf_sim_opts(stations, duration_ms, seed, kind, neighbor_cache);
+    let mut sim = scale_dcf_sim_opts(stations, duration_ms, seed, neighbor_cache);
     let end = SimTime::from_millis(duration_ms);
     sim.run_until(end);
 
@@ -1657,26 +1645,26 @@ pub fn scale_dcf_sweep() -> Vec<(usize, u64)> {
     }
 }
 
-/// SCALE-DCF — saturation throughput collapse plus the differential
-/// scheduler check, as an experiment report.
+/// SCALE-DCF — saturation throughput collapse plus the scheduler-order
+/// check, as an experiment report.
 ///
 /// Returns the sweep points (for the report table and the benches) and
 /// the claims: the collapse shape, monotonicity, Jain fairness under
-/// symmetric load, and byte-identical metrics from both scheduler back
-/// ends on a mid-size point.
+/// symmetric load, and — on a mid-size point's recorded op stream — a
+/// timer-wheel drain in the reference binary heap's exact order.
 pub fn scale_dcf(seed: u64) -> (Vec<ScaleDcfPoint>, ExperimentReport) {
-    let points: Vec<ScaleDcfPoint> = par_map(scale_dcf_sweep(), |(n, d)| {
-        scale_dcf_point(n, d, seed, SchedulerKind::default())
-    });
-    // The differential run: both back ends on one mid-size point.
+    let points: Vec<ScaleDcfPoint> =
+        par_map(scale_dcf_sweep(), |(n, d)| scale_dcf_point(n, d, seed));
+    // The scheduler-order check: one mid-size point's recorded op
+    // stream through the wheel and the reference heap.
     let (n_mid, d_mid) = if cfg!(debug_assertions) {
         (30, 200)
     } else {
         (100, 200)
     };
-    let pair: Vec<ScaleDcfPoint> = par_map(SchedulerKind::ALL.to_vec(), |k| {
-        scale_dcf_point(n_mid, d_mid, seed, k)
-    });
+    let (ops, mid_events) = scale_dcf_op_log(n_mid, d_mid, seed);
+    let wheel = replay_ops(SchedulerKind::TimerWheel, &ops);
+    let heap = replay_ops(SchedulerKind::BinaryHeap, &ops);
 
     let first = points.first().expect("sweep non-empty");
     let last = points.last().expect("sweep non-empty");
@@ -1711,8 +1699,8 @@ pub fn scale_dcf(seed: u64) -> (Vec<ScaleDcfPoint>, ExperimentReport) {
             points.iter().all(|p| p.access_delay_p50_us >= 1_000),
         )
         .claim(
-            "timer-wheel and binary-heap schedulers agree bit-for-bit",
-            pair[0].metrics_fnv == pair[1].metrics_fnv && pair[0].events == pair[1].events,
+            "timer wheel drains the recorded op stream in the reference binary heap's order",
+            wheel == heap && wheel.0 == mid_events,
         );
     (points, report)
 }
@@ -2209,6 +2197,10 @@ pub fn metro_dcf_point(
     let mut planning = metro_dcf_planning_world(rows, cols, senders, duration_ms, seed);
 
     let (build_ms, stored_entries, grid_coherent) = if n <= METRO_DCF_BUILD_CAP {
+        // The storage row measures the cache representation, so it
+        // primes a cache whatever the process-wide default; the
+        // component worlds still follow that default.
+        planning.set_neighbor_cache(true);
         let t0 = std::time::Instant::now();
         planning.prime_neighbor_cache(SimTime::ZERO);
         let build_ms = t0.elapsed().as_secs_f64() * 1e3;

@@ -14,7 +14,7 @@ use wn_mac80211::frame::{DsBits, Frame, SequenceControl};
 use wn_mac80211::sim::{MacConfig, MacEvent, StationId, UpperCtx, UpperLayer, WlanWorld};
 use wn_phy::geom::Point;
 use wn_phy::units::Dbm;
-use wn_sim::{SchedulerKind, SimDuration, SimTime, Simulation};
+use wn_sim::{SimDuration, SimTime, Simulation};
 
 /// Builds an extended service set: several APs with the same SSID on a
 /// wired distribution system (§3.1: the ESS "appears as a single BSS").
@@ -24,7 +24,6 @@ pub struct EssBuilder {
     aps: Vec<(Point, ApConfig)>,
     stas: Vec<(Point, StaConfig)>,
     wire_latency: SimDuration,
-    scheduler: SchedulerKind,
     neighbor_cache: Option<bool>,
 }
 
@@ -53,7 +52,6 @@ impl EssBuilder {
             aps: Vec::new(),
             stas: Vec::new(),
             wire_latency: SimDuration::from_micros(100),
-            scheduler: SchedulerKind::default(),
             neighbor_cache: None,
         }
     }
@@ -101,14 +99,6 @@ impl EssBuilder {
         self
     }
 
-    /// Selects the event-queue back end (the engine default, the timer
-    /// wheel, unless set). Either choice yields bit-identical runs; the
-    /// binary heap stays selectable as the differential reference.
-    pub fn scheduler(mut self, kind: SchedulerKind) -> Self {
-        self.scheduler = kind;
-        self
-    }
-
     /// Overrides the propagation neighbor-cache switch for the built
     /// world (the process default otherwise). Cached and direct runs
     /// are byte-identical; the differential fuzz compares them.
@@ -142,7 +132,7 @@ impl EssBuilder {
             sta_ids.push(id);
             sta_shared.push(shared);
         }
-        let mut sim = Simulation::with_scheduler(world, self.scheduler);
+        let mut sim = Simulation::new(world);
         wn_mac80211::sim::boot(&mut sim);
         Ess {
             sim,

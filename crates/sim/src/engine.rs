@@ -7,9 +7,11 @@
 //! events. Events scheduled for the same instant are delivered in the
 //! order they were scheduled (FIFO), which makes runs fully
 //! deterministic.
+//!
+//! The queue is a hierarchical timer wheel ([`crate::wheel`]). A binary
+//! heap appears only in [`replay_ops`], as the reference order a
+//! recorded op stream is checked against.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 use crate::time::{SimDuration, SimTime};
@@ -33,8 +35,8 @@ pub fn global_events_processed() -> u64 {
 /// The timestamp occupies the high 64 bits and the FIFO sequence number
 /// the low 64, so one integer compare reproduces the lexicographic
 /// `(SimTime, seq)` order exactly — earlier time first, then lower seq.
-/// This halves the comparison work on every heap sift in the engine's
-/// hottest loop.
+/// The timer wheel sorts drained ticks by it, and the reference heap in
+/// [`replay_ops`] orders by the same integer.
 #[inline]
 pub fn event_key(at: SimTime, seq: u64) -> u128 {
     ((at.as_nanos() as u128) << 64) | seq as u128
@@ -58,86 +60,33 @@ pub trait World {
     fn handle(&mut self, now: SimTime, event: Self::Event, sched: &mut Scheduler<Self::Event>);
 }
 
-/// A scheduled entry in the event queue.
-struct Scheduled<E> {
-    /// Packed `(time, seq)` ordering key — see [`event_key`].
-    key: u128,
-    event: E,
-}
-
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-
-impl<E> Eq for Scheduled<E> {}
-
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq)
-        // pops first. The low `seq` bits break ties FIFO for
-        // determinism.
-        other.key.cmp(&self.key)
-    }
-}
-
-/// Which event-queue implementation a [`Scheduler`] drains.
+/// Selects the queue [`replay_ops`] drains a recorded op stream through.
 ///
-/// Both back ends order events by the same packed [`event_key`], so
-/// any deterministic simulation produces byte-identical traces and
-/// metrics under either — the differential tests in `wn-check` and
-/// `tests/determinism.rs` enforce exactly that. The timer wheel
-/// ([`crate::wheel`]) is the default: it trades comparison sifts for
-/// O(1) bucketing and wins on dense MAC timer workloads with large
-/// pending queues, and a 500-seed dual-scheduler fuzz soak pins it
-/// byte-identical to the heap. The binary heap stays selectable as the
-/// reference implementation (`--scheduler heap` on the CLI tools).
+/// The engine itself has one queue, the timer wheel ([`crate::wheel`]).
+/// The binary heap survives only here, as the reference order: both
+/// queues order events by the same packed [`event_key`], so a recorded
+/// stream must pop identically through either, and the `wn-check`
+/// scheduler-order oracle demands exactly that on every fuzz run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum SchedulerKind {
-    /// `std::collections::BinaryHeap` — the reference back end.
+    /// `std::collections::BinaryHeap` — the reference order.
     BinaryHeap,
-    /// Hierarchical timer wheel / calendar queue — the default.
+    /// Hierarchical timer wheel / calendar queue — the engine's queue.
     #[default]
     TimerWheel,
 }
 
 impl SchedulerKind {
-    /// Both back ends, reference first — for differential sweeps.
+    /// Both queues, reference first — for differential replays.
     pub const ALL: [SchedulerKind; 2] = [SchedulerKind::BinaryHeap, SchedulerKind::TimerWheel];
 
-    /// Short stable label used in reports and CLI flags.
+    /// Short stable label used in reports.
     pub fn label(self) -> &'static str {
         match self {
             SchedulerKind::BinaryHeap => "heap",
             SchedulerKind::TimerWheel => "wheel",
         }
     }
-}
-
-impl std::str::FromStr for SchedulerKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "heap" | "binary-heap" | "binaryheap" => Ok(SchedulerKind::BinaryHeap),
-            "wheel" | "timer-wheel" | "timerwheel" => Ok(SchedulerKind::TimerWheel),
-            other => Err(format!("unknown scheduler kind '{other}' (heap|wheel)")),
-        }
-    }
-}
-
-/// The pluggable queue behind a [`Scheduler`].
-enum Backend<E> {
-    Heap(BinaryHeap<Scheduled<E>>),
-    // Boxed: the wheel's inline slot arrays dwarf the heap variant.
-    Wheel(Box<TimerWheel<E>>),
 }
 
 /// Marks a pop in a recorded scheduler op stream — see
@@ -148,7 +97,7 @@ pub const OP_POP: u128 = u128::MAX;
 
 /// The pending-event queue plus the virtual clock.
 pub struct Scheduler<E> {
-    backend: Backend<E>,
+    wheel: TimerWheel<E>,
     now: SimTime,
     next_seq: u64,
     scheduled_total: u64,
@@ -164,19 +113,10 @@ impl<E> Default for Scheduler<E> {
 }
 
 impl<E> Scheduler<E> {
-    /// Creates an empty scheduler at time zero using the default back
-    /// end ([`SchedulerKind::TimerWheel`]).
+    /// Creates an empty scheduler at time zero.
     pub fn new() -> Self {
-        Self::with_kind(SchedulerKind::default())
-    }
-
-    /// Creates an empty scheduler at time zero on the given back end.
-    pub fn with_kind(kind: SchedulerKind) -> Self {
         Scheduler {
-            backend: match kind {
-                SchedulerKind::BinaryHeap => Backend::Heap(BinaryHeap::new()),
-                SchedulerKind::TimerWheel => Backend::Wheel(Box::default()),
-            },
+            wheel: TimerWheel::new(),
             now: SimTime::ZERO,
             next_seq: 0,
             scheduled_total: 0,
@@ -185,23 +125,18 @@ impl<E> Scheduler<E> {
     }
 
     /// Starts recording the scheduler op stream (pushed keys and pop
-    /// markers). Used by the bench suite to replay a workload's exact
-    /// scheduling behaviour through both back ends in isolation.
+    /// markers) for [`replay_ops`]. The log opens with the keys already
+    /// pending, in key order, so a stream started after a world booted
+    /// still replays: every recorded pop has a recorded push.
     pub fn record_ops(&mut self) {
-        self.op_log = Some(Vec::new());
+        let mut pending: Vec<u128> = self.wheel.keys().collect();
+        pending.sort_unstable();
+        self.op_log = Some(pending);
     }
 
     /// Takes the recorded op stream, leaving recording disabled.
     pub fn take_op_log(&mut self) -> Vec<u128> {
         self.op_log.take().unwrap_or_default()
-    }
-
-    /// Which back end this scheduler drains.
-    pub fn kind(&self) -> SchedulerKind {
-        match self.backend {
-            Backend::Heap(_) => SchedulerKind::BinaryHeap,
-            Backend::Wheel(_) => SchedulerKind::TimerWheel,
-        }
     }
 
     /// The current virtual time.
@@ -211,10 +146,7 @@ impl<E> Scheduler<E> {
 
     /// Number of events currently pending.
     pub fn pending(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(h) => h.len(),
-            Backend::Wheel(w) => w.len(),
-        }
+        self.wheel.len()
     }
 
     /// Total number of events ever scheduled (monotone counter).
@@ -242,10 +174,7 @@ impl<E> Scheduler<E> {
         if let Some(log) = &mut self.op_log {
             log.push(key);
         }
-        match &mut self.backend {
-            Backend::Heap(h) => h.push(Scheduled { key, event }),
-            Backend::Wheel(w) => w.push(key, event),
-        }
+        self.wheel.push(key, event);
     }
 
     /// Schedules `event` after a relative delay from now.
@@ -262,17 +191,11 @@ impl<E> Scheduler<E> {
 
     /// The timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            Backend::Heap(h) => h.peek().map(|s| key_time(s.key)),
-            Backend::Wheel(w) => w.peek_key().map(key_time),
-        }
+        self.wheel.peek_key().map(key_time)
     }
 
     fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (key, event) = match &mut self.backend {
-            Backend::Heap(h) => h.pop().map(|s| (s.key, s.event))?,
-            Backend::Wheel(w) => w.pop()?,
-        };
+        let (key, event) = self.wheel.pop()?;
         if let Some(log) = &mut self.op_log {
             log.push(OP_POP);
         }
@@ -284,15 +207,16 @@ impl<E> Scheduler<E> {
 }
 
 /// Replays a recorded scheduler op stream (see
-/// [`Scheduler::record_ops`]) through the chosen back end with no event
-/// payloads and no world, measuring pure queue throughput on the
-/// workload's exact push/pop pattern.
+/// [`Scheduler::record_ops`]) through the chosen queue with no event
+/// payloads and no world: the scheduler-order oracle's check and the
+/// isolated queue-throughput benchmark on a workload's exact push/pop
+/// pattern.
 ///
 /// Returns `(pops, fnv)` where `fnv` is the FNV-1a hash of every popped
-/// key in pop order — identical across back ends if and only if they
+/// key in pop order — identical across queues if and only if they
 /// drain the stream in the same total order.
 pub fn replay_ops(kind: SchedulerKind, ops: &[u128]) -> (u64, u64) {
-    let mut heap: BinaryHeap<std::cmp::Reverse<u128>> = BinaryHeap::new();
+    let mut heap = std::collections::BinaryHeap::<std::cmp::Reverse<u128>>::new();
     let mut wheel: TimerWheel<()> = TimerWheel::new();
     let mut pops = 0u64;
     let mut fnv = 0xcbf2_9ce4_8422_2325u64;
@@ -329,19 +253,11 @@ pub struct Simulation<W: World> {
 }
 
 impl<W: World> Simulation<W> {
-    /// Creates a simulation around `world` with an empty event queue on
-    /// the default scheduler ([`SchedulerKind::TimerWheel`]).
+    /// Creates a simulation around `world` with an empty event queue.
     pub fn new(world: W) -> Self {
-        Self::with_scheduler(world, SchedulerKind::default())
-    }
-
-    /// Creates a simulation around `world` draining the given scheduler
-    /// back end. Both kinds deliver identical schedules; see
-    /// [`SchedulerKind`].
-    pub fn with_scheduler(world: W, kind: SchedulerKind) -> Self {
         Simulation {
             world,
-            sched: Scheduler::with_kind(kind),
+            sched: Scheduler::new(),
             processed: 0,
         }
     }
@@ -616,7 +532,7 @@ mod tests {
 
     /// A world whose handler re-schedules pseudo-random follow-ups, so
     /// the delivered sequence exercises interleaved push/pop on the
-    /// queue. Used to compare back ends event-for-event.
+    /// queue. Its recorded op stream is checked against the heap.
     struct Churn {
         rng: crate::rng::Rng,
         seen: Vec<(SimTime, u32)>,
@@ -639,35 +555,65 @@ mod tests {
         }
     }
 
-    fn churn_run(kind: SchedulerKind) -> Vec<(SimTime, u32)> {
+    /// Runs the churn workload with the op stream recorded; returns
+    /// the delivered sequence, the log and the processed-event count.
+    fn churn_run() -> (Vec<(SimTime, u32)>, Vec<u128>, u64) {
         let world = Churn {
             rng: crate::rng::Rng::new(0xABBA),
             seen: Vec::new(),
             budget: 20_000,
         };
-        let mut sim = Simulation::with_scheduler(world, kind);
+        let mut sim = Simulation::new(world);
+        sim.scheduler_mut().record_ops();
         for i in 0..64u32 {
             let at = SimTime::from_nanos((i as u64 * 977) % 50_000);
             sim.scheduler_mut().schedule_at(at, i);
         }
         sim.run();
-        sim.into_world().seen
+        let log = sim.scheduler_mut().take_op_log();
+        let processed = sim.processed();
+        (sim.into_world().seen, log, processed)
     }
 
     #[test]
     fn wheel_and_heap_deliver_identical_schedules() {
+        let (seen, log, processed) = churn_run();
+        let heap = replay_ops(SchedulerKind::BinaryHeap, &log);
+        let wheel = replay_ops(SchedulerKind::TimerWheel, &log);
         assert_eq!(
-            churn_run(SchedulerKind::BinaryHeap),
-            churn_run(SchedulerKind::TimerWheel),
-            "scheduler back ends diverged on a churn workload"
+            heap, wheel,
+            "wheel diverged from the heap on a churn workload"
         );
+        assert_eq!(wheel.0, processed, "replay pops != events processed");
+        assert_eq!(seen.len() as u64, processed);
+        assert!(processed > 20_000, "churn workload too small");
+    }
+
+    #[test]
+    fn recording_after_events_are_queued_replays_cleanly() {
+        let mut sim = Simulation::new(Recorder { seen: vec![] });
+        // Queued before recording starts, out of key order, across
+        // wheel levels and the overflow spill.
+        for (i, ms) in [7u64, 1, 3_600_000 * 30, 2, 5].into_iter().enumerate() {
+            sim.scheduler_mut()
+                .schedule_at(SimTime::from_millis(ms), i as u32);
+        }
+        sim.run_until(SimTime::from_millis(1));
+        sim.scheduler_mut().record_ops();
+        sim.scheduler_mut().schedule_at(SimTime::from_millis(4), 99);
+        sim.run();
+        let log = sim.scheduler_mut().take_op_log();
+        let heap = replay_ops(SchedulerKind::BinaryHeap, &log);
+        assert_eq!(heap, replay_ops(SchedulerKind::TimerWheel, &log));
+        // Five pops since recording started: 2, 4, 5, 7 ms and the
+        // 30 h spill entry.
+        assert_eq!(heap.0, 5);
+        assert_eq!(sim.processed(), 6);
     }
 
     #[test]
     fn wheel_backend_passes_ordering_and_fifo() {
-        let mut sim =
-            Simulation::with_scheduler(Recorder { seen: vec![] }, SchedulerKind::TimerWheel);
-        assert_eq!(sim.scheduler().kind(), SchedulerKind::TimerWheel);
+        let mut sim = Simulation::new(Recorder { seen: vec![] });
         // Same instant: FIFO; distinct instants spanning wheel levels:
         // time order.
         let t = SimTime::from_secs(2);
@@ -685,17 +631,6 @@ mod tests {
         expect.extend(0..50);
         expect.push(101);
         assert_eq!(tags, expect);
-    }
-
-    #[test]
-    fn kind_parses_and_labels_round_trip() {
-        for kind in SchedulerKind::ALL {
-            assert_eq!(kind.label().parse::<SchedulerKind>().unwrap(), kind);
-        }
-        assert!("calendar".parse::<SchedulerKind>().is_err());
-        // The wheel earned the default via the 500-seed dual soak; the
-        // heap remains the selectable reference back end.
-        assert_eq!(SchedulerKind::default(), SchedulerKind::TimerWheel);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! A hierarchical timer wheel — the calendar-queue scheduler backend.
+//! A hierarchical timer wheel — the engine's event queue.
 //!
 //! Dense MAC timer workloads (backoff slots, SIFS/DIFS deadlines, NAV
 //! expiries) schedule almost everything a few microseconds to a few
@@ -10,12 +10,14 @@
 //! so each event is moved O(1) times in the common case and the pop
 //! path is a bitmap scan plus a small sorted drain.
 //!
-//! Ordering is identical to the heap backend by construction: every
-//! entry carries its packed [`event_key`](crate::engine::event_key)
-//! `(time, seq)` key, slots are drained in tick order, and entries
-//! within a drained tick are sorted by the full key. The two backends
-//! therefore produce byte-identical schedules — the differential tests
-//! in `wn-check` and `tests/determinism.rs` hold them to that.
+//! Pops come out in exact key order: every entry carries its packed
+//! [`event_key`](crate::engine::event_key) `(time, seq)` key, slots are
+//! drained in tick order, and entries within a drained tick are sorted
+//! by the full key. A binary heap ordered by the same key is the
+//! reference: [`replay_ops`](crate::engine::replay_ops) drains a
+//! recorded op stream through both, and the `wn-check`
+//! scheduler-order oracle demands identical pop orders on every fuzz
+//! run.
 
 /// log2 of the slot count per level.
 const SLOT_BITS: u32 = 6;
@@ -32,9 +34,8 @@ const TICK_SHIFT: u32 = 10;
 const HORIZON_BITS: u32 = LEVELS as u32 * SLOT_BITS;
 
 /// A hierarchical timer wheel ordering events by packed `(time, seq)`
-/// key. See the module docs; use it through
-/// [`Scheduler`](crate::engine::Scheduler) with
-/// [`SchedulerKind::TimerWheel`](crate::engine::SchedulerKind).
+/// key. See the module docs; the engine uses it through
+/// [`Scheduler`](crate::engine::Scheduler).
 pub struct TimerWheel<E> {
     /// Current drain position in ticks. Every entry in `slots` /
     /// `overflow` has a tick strictly greater than `pos`; `cur` holds
@@ -85,6 +86,15 @@ impl<E> TimerWheel<E> {
     /// The minimum pending key, if any.
     pub fn peek_key(&self) -> Option<u128> {
         self.cur.last().map(|&(k, _)| k)
+    }
+
+    /// Every pending key, in no particular order.
+    pub fn keys(&self) -> impl Iterator<Item = u128> + '_ {
+        self.cur
+            .iter()
+            .chain(self.slots.iter().flatten().flatten())
+            .chain(&self.overflow)
+            .map(|&(k, _)| k)
     }
 
     #[inline]
@@ -444,6 +454,25 @@ mod tests {
             }
             assert!(wheel.is_empty(), "seed {seed}: wheel kept entries");
         }
+    }
+
+    #[test]
+    fn keys_cover_front_hierarchy_and_overflow() {
+        let mut wheel = TimerWheel::new();
+        let times = [5u64, 6, 70_000, 1 << 30, 1 << 50];
+        for (seq, &t) in times.iter().enumerate() {
+            wheel.push(key(t, seq as u64), ());
+        }
+        let mut keys: Vec<u128> = wheel.keys().collect();
+        keys.sort_unstable();
+        let expect: Vec<u128> = times
+            .iter()
+            .enumerate()
+            .map(|(seq, &t)| key(t, seq as u64))
+            .collect();
+        assert_eq!(keys, expect);
+        wheel.pop();
+        assert_eq!(wheel.keys().count(), times.len() - 1);
     }
 
     #[test]

@@ -67,38 +67,43 @@ fn fuzzer_digest_is_byte_identical_across_thread_counts() {
     );
 }
 
-/// Differential scheduler check over the fuzz corpus: every generated
-/// scenario replayed through the timer wheel produces the exact digest
-/// the binary heap produces — per-seed event counts, violation counts,
-/// trace fingerprints and metrics fingerprints all byte-identical.
-/// (CI runs the full 200-seed sweep via `fuzz --dual`; this in-tree
-/// slice keeps the guarantee under plain `cargo test`.)
+/// Scheduler order over the fuzz corpus: every generated scenario is
+/// free of oracle violations, and the oracle set includes
+/// `scheduler-order`, which replays each run's recorded op stream
+/// through the timer wheel and the reference binary heap and demands
+/// the same pop order. (CI runs the 200-seed sweep via `fuzz`; this
+/// in-tree slice keeps the guarantee under plain `cargo test`.)
 #[test]
-fn fuzzer_digest_is_identical_across_scheduler_backends() {
-    use wireless_networks::sim::SchedulerKind;
-    let heap = wireless_networks::check::range_digest_with(0, 32, 1, SchedulerKind::BinaryHeap);
-    let wheel = wireless_networks::check::range_digest_with(0, 32, 1, SchedulerKind::TimerWheel);
-    assert!(
-        heap == wheel,
-        "fuzzer digest diverged between scheduler back ends:\nheap:\n{heap}\nwheel:\n{wheel}"
-    );
-    assert_eq!(heap.lines().count(), 32);
+fn fuzz_corpus_passes_the_scheduler_order_oracle() {
+    let reports = wireless_networks::check::check_range(0, 32, 1);
+    assert_eq!(reports.len(), 32);
+    for r in &reports {
+        assert!(
+            r.violations.is_empty(),
+            "seed {} ({}) violated: {:?}",
+            r.seed,
+            r.summary,
+            r.violations
+        );
+    }
+    assert!(wireless_networks::check::oracles()
+        .iter()
+        .any(|o| o.name() == "scheduler-order"));
 }
 
 /// The SCALE-DCF saturation workload — the dense-timer stress case the
-/// wheel exists for — also runs bit-identically on both back ends.
+/// wheel exists for — drains its recorded op stream through the wheel
+/// in exactly the reference heap's order.
 #[test]
-fn scale_dcf_is_identical_across_scheduler_backends() {
-    use wireless_networks::core::scenarios::scale_dcf_point;
-    use wireless_networks::sim::SchedulerKind;
-    let heap = scale_dcf_point(20, 150, 7, SchedulerKind::BinaryHeap);
-    let wheel = scale_dcf_point(20, 150, 7, SchedulerKind::TimerWheel);
-    assert_eq!(heap.events, wheel.events);
-    assert_eq!(
-        heap.metrics_fnv, wheel.metrics_fnv,
-        "SCALE-DCF metrics diverged between scheduler back ends"
-    );
-    assert!(heap.events > 10_000, "workload too small to mean anything");
+fn scale_dcf_op_stream_drains_in_reference_heap_order() {
+    use wireless_networks::core::scenarios::scale_dcf_op_log;
+    use wireless_networks::sim::{replay_ops, SchedulerKind};
+    let (ops, events) = scale_dcf_op_log(20, 150, 7);
+    let heap = replay_ops(SchedulerKind::BinaryHeap, &ops);
+    let wheel = replay_ops(SchedulerKind::TimerWheel, &ops);
+    assert_eq!(wheel, heap, "SCALE-DCF pop order diverged from the heap");
+    assert_eq!(wheel.0, events, "op stream pops != events processed");
+    assert!(wheel.0 >= 10_000, "workload too small to mean anything");
 }
 
 /// Two runs of the same seeded scenario give bit-equal results — the

@@ -11,7 +11,7 @@ use wireless_networks::mac80211::sim::{
 };
 use wireless_networks::phy::geom::Point;
 use wireless_networks::phy::modulation::PhyStandard;
-use wireless_networks::sim::{Rng, SchedulerKind, SimTime, Simulation};
+use wireless_networks::sim::{Rng, SimTime, Simulation};
 
 fn data_to_sink(src: usize) -> Frame {
     Frame::data(
@@ -89,8 +89,8 @@ fn cache_stays_coherent_under_random_mobility() {
 #[test]
 fn cached_and_direct_paths_fingerprint_identically() {
     for seed in 0..6u64 {
-        let cached = check_seed_opts(seed, SchedulerKind::BinaryHeap, true);
-        let direct = check_seed_opts(seed, SchedulerKind::BinaryHeap, false);
+        let cached = check_seed_opts(seed, true);
+        let direct = check_seed_opts(seed, false);
         assert_eq!(
             (cached.events, cached.trace_fnv, cached.metrics_fnv),
             (direct.events, direct.trace_fnv, direct.metrics_fnv),
