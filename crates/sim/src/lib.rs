@@ -74,6 +74,5 @@ pub use par::{par_map, par_map_with, worker_count};
 pub use rng::Rng;
 pub use time::{SimDuration, SimTime};
 pub use trace::{
-    observability_enabled, set_observability, DropReason, FrameKind, Level, Lookup, Trace,
-    TraceEvent,
+    observability_enabled, set_observability, DropReason, FrameKind, Level, Trace, TraceEvent,
 };

@@ -1,28 +1,23 @@
 //! Bounded event tracing.
 //!
-//! A [`Trace`] is a ring buffer of timestamped records. Each record
-//! carries a human-readable message and, when emitted through
-//! [`Trace::event`], a typed [`TraceEvent`] that tests and exporters can
-//! match on structurally instead of by substring. The buffer exists for
-//! three reasons: interactive debugging of protocol exchanges (print the
-//! last N MAC events), test assertions about *ordering* ("the CTS was
-//! sent after the RTS", "no data frame preceded association"), and
-//! machine-readable JSONL export ([`Trace::to_jsonl`]) for offline
-//! analysis of campaign runs.
+//! A [`Trace`] is a ring buffer of timestamped [`Record`]s. Each record is
+//! plain `Copy` data around one typed [`TraceEvent`], so retention
+//! allocates nothing and tests, oracles and exporters match on events
+//! structurally. The buffer exists for three reasons: interactive
+//! debugging of protocol exchanges (print the last N MAC events), test
+//! assertions about *ordering* ("the CTS was sent after the RTS", "no
+//! data frame preceded association"), and machine-readable JSONL export
+//! ([`Trace::to_jsonl`]) for offline analysis of campaign runs.
 //!
 //! # Eviction contract
 //!
 //! The buffer is bounded: once `capacity` records are retained, each new
 //! record evicts the oldest and increments [`Trace::dropped`]. All query
-//! methods operate on the *retained window only*. Ordering queries
-//! ([`Trace::happened_before`], [`Trace::happened_before_events`])
-//! **panic** when any record has been evicted, because the first
-//! occurrence of either needle may have been lost and the answer would
-//! be arbitrary. Use [`Trace::happened_before_retained`] when
-//! window-relative ordering is genuinely what you want, or size the
-//! buffer so nothing is evicted ([`Trace::new`] with a larger capacity).
-//! [`Trace::lookup_containing`] reports eviction explicitly via
-//! [`Lookup::Evicted`].
+//! methods operate on the *retained window only*. The ordering query
+//! [`Trace::happened_before_events`] **panics** when any record has been
+//! evicted, because the first occurrence of either event may have been
+//! lost and the answer would be arbitrary; size the buffer so nothing is
+//! evicted ([`Trace::new`] with a larger capacity).
 //!
 //! # Process-global kill switch
 //!
@@ -32,7 +27,6 @@
 //! depend on trace contents, so toggling it cannot change figures.
 
 use std::collections::VecDeque;
-use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::json;
@@ -331,105 +325,6 @@ pub enum TraceEvent {
     },
 }
 
-impl fmt::Display for TraceEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            TraceEvent::Tx {
-                station,
-                kind,
-                len,
-                rate_mbps,
-            } => write!(f, "tx {kind:?} sta={station} len={len} rate={rate_mbps:.1}"),
-            TraceEvent::Rx {
-                station,
-                kind,
-                len,
-                rssi_dbm,
-            } => write!(f, "rx {kind:?} sta={station} len={len} rssi={rssi_dbm:.1}"),
-            TraceEvent::Drop {
-                station,
-                kind,
-                reason,
-            } => write!(f, "drop {kind:?} sta={station} reason={reason:?}"),
-            TraceEvent::Backoff { station, slots, cw } => {
-                write!(f, "backoff sta={station} slots={slots} cw={cw}")
-            }
-            TraceEvent::Nav { station, until_us } => {
-                write!(f, "nav sta={station} until={until_us}us")
-            }
-            TraceEvent::Retry {
-                station,
-                short,
-                long,
-            } => write!(f, "retry sta={station} short={short} long={long}"),
-            TraceEvent::TxOutcome { station, ok } => {
-                write!(f, "tx-outcome sta={station} ok={ok}")
-            }
-            TraceEvent::Assoc { station, aid } => write!(f, "assoc sta={station} aid={aid}"),
-            TraceEvent::Handoff { station } => write!(f, "handoff sta={station}"),
-            TraceEvent::PowerSave { station, doze } => {
-                write!(f, "power-save sta={station} doze={doze}")
-            }
-            TraceEvent::Join { station, parent } => {
-                write!(f, "join sta={station} parent={parent}")
-            }
-            TraceEvent::Poll {
-                station,
-                peer,
-                slots,
-            } => write!(f, "poll master={station} slave={peer} slots={slots}"),
-            TraceEvent::Grant {
-                station,
-                bytes,
-                uplink,
-            } => write!(f, "grant ss={station} bytes={bytes} uplink={uplink}"),
-            TraceEvent::Deliver {
-                station,
-                bytes,
-                hops,
-            } => write!(f, "deliver sta={station} bytes={bytes} hops={hops}"),
-            TraceEvent::Forward { station, dst, hops } => {
-                write!(f, "forward sta={station} dst={dst} hops={hops}")
-            }
-            TraceEvent::Crack {
-                station,
-                method,
-                ok,
-            } => write!(f, "crack sta={station} method={method} ok={ok}"),
-            TraceEvent::EdcaBackoff {
-                station,
-                ac,
-                slots,
-                cw,
-            } => write!(
-                f,
-                "edca-backoff sta={station} ac={ac} slots={slots} cw={cw}"
-            ),
-            TraceEvent::AmpduTx {
-                station,
-                ac,
-                ssn,
-                bitmap,
-            } => write!(
-                f,
-                "ampdu-tx sta={station} ac={ac} ssn={ssn} bitmap={bitmap:#x}"
-            ),
-            TraceEvent::BlockAckRx {
-                station,
-                ac,
-                ssn,
-                bitmap,
-            } => write!(
-                f,
-                "block-ack-rx sta={station} ac={ac} ssn={ssn} bitmap={bitmap:#x}"
-            ),
-            TraceEvent::MpduDrop { station, ac, seq } => {
-                write!(f, "mpdu-drop sta={station} ac={ac} seq={seq}")
-            }
-        }
-    }
-}
-
 impl TraceEvent {
     /// Stable discriminant used as the JSON `type` field.
     pub fn type_tag(&self) -> &'static str {
@@ -583,7 +478,7 @@ impl TraceEvent {
 }
 
 /// One trace record.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct Record {
     /// Virtual time of the record.
     pub at: SimTime,
@@ -591,32 +486,8 @@ pub struct Record {
     pub level: Level,
     /// Short category tag, e.g. `"mac"`, `"phy"`, `"sec"`.
     pub tag: &'static str,
-    /// Human-readable message.
-    pub message: String,
-    /// Structured payload when emitted through [`Trace::event`].
-    pub event: Option<TraceEvent>,
-}
-
-impl fmt::Display for Record {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "[{} {:?} {}] {}",
-            self.at, self.level, self.tag, self.message
-        )
-    }
-}
-
-/// Result of an eviction-aware lookup ([`Trace::lookup_containing`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Lookup {
-    /// Found at this index within the retained window.
-    Found(usize),
-    /// Not present, and nothing was ever evicted — a definitive miss.
-    Absent,
-    /// Not present in the retained window, but records were evicted, so
-    /// a match may have been lost. The answer is unknowable.
-    Evicted,
+    /// The typed event.
+    pub event: TraceEvent,
 }
 
 /// A bounded ring buffer of trace records.
@@ -655,60 +526,24 @@ impl Trace {
         self.min_level = level;
     }
 
-    fn push(&mut self, record: Record) {
-        if self.records.len() == self.capacity {
-            self.records.pop_front();
-            self.dropped += 1;
-        }
-        self.records.push_back(record);
-    }
-
-    /// Appends a record, evicting the oldest when full.
-    pub fn emit(&mut self, at: SimTime, level: Level, tag: &'static str, message: String) {
-        if level < self.min_level || !observability_enabled() {
-            return;
-        }
-        self.push(Record {
-            at,
-            level,
-            tag,
-            message,
-            event: None,
-        });
-    }
-
     /// Appends a typed event, evicting the oldest record when full.
     ///
-    /// The human-readable message is rendered from the event's `Display`
-    /// impl — but only after the level filter and the process-global
-    /// kill switch have passed, so filtered-out events cost no
-    /// formatting or allocation.
+    /// Events below the minimum level, or emitted while the
+    /// process-global kill switch is off, are not retained.
     pub fn event(&mut self, at: SimTime, level: Level, tag: &'static str, event: TraceEvent) {
         if level < self.min_level || !observability_enabled() {
             return;
         }
-        self.push(Record {
+        if self.records.len() == self.capacity {
+            self.records.pop_front();
+            self.dropped += 1;
+        }
+        self.records.push_back(Record {
             at,
             level,
             tag,
-            message: event.to_string(),
-            event: Some(event),
+            event,
         });
-    }
-
-    /// Convenience: emit at [`Level::Debug`].
-    pub fn debug(&mut self, at: SimTime, tag: &'static str, message: impl Into<String>) {
-        self.emit(at, Level::Debug, tag, message.into());
-    }
-
-    /// Convenience: emit at [`Level::Info`].
-    pub fn info(&mut self, at: SimTime, tag: &'static str, message: impl Into<String>) {
-        self.emit(at, Level::Info, tag, message.into());
-    }
-
-    /// Convenience: emit at [`Level::Warn`].
-    pub fn warn(&mut self, at: SimTime, tag: &'static str, message: impl Into<String>) {
-        self.emit(at, Level::Warn, tag, message.into());
     }
 
     /// Records currently retained, oldest first.
@@ -717,12 +552,8 @@ impl Trace {
     }
 
     /// Typed events currently retained, oldest first, with timestamps.
-    ///
-    /// Records emitted through the string API are skipped.
     pub fn events(&self) -> impl Iterator<Item = (SimTime, &TraceEvent)> {
-        self.records
-            .iter()
-            .filter_map(|r| r.event.as_ref().map(|e| (r.at, e)))
+        self.records.iter().map(|r| (r.at, &r.event))
     }
 
     /// Number of retained records.
@@ -740,93 +571,16 @@ impl Trace {
         self.dropped
     }
 
-    /// Eviction-aware lookup of the first retained record whose message
-    /// contains `needle`.
+    /// `true` if an event matching `a` precedes one matching `b`.
     ///
-    /// Unlike [`Trace::position_containing`] this never panics: a miss
-    /// is reported as [`Lookup::Absent`] when the buffer has never
-    /// evicted (definitive) and as [`Lookup::Evicted`] when records have
-    /// been lost (unknowable).
-    pub fn lookup_containing(&self, needle: &str) -> Lookup {
-        match self.records.iter().position(|r| r.message.contains(needle)) {
-            Some(i) => Lookup::Found(i),
-            None if self.dropped == 0 => Lookup::Absent,
-            None => Lookup::Evicted,
-        }
-    }
-
-    /// Index of the first retained record whose message contains
-    /// `needle`.
-    ///
-    /// The index is relative to the retained window (what [`Trace::records`]
-    /// iterates), not to the full emission history.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `needle` is not found *and* records have been
-    /// evicted: the match may have been lost, so `None` would be a lie.
-    /// Use [`Trace::lookup_containing`] for a non-panicking,
-    /// eviction-aware answer.
-    pub fn position_containing(&self, needle: &str) -> Option<usize> {
-        match self.lookup_containing(needle) {
-            Lookup::Found(i) => Some(i),
-            Lookup::Absent => None,
-            Lookup::Evicted => panic!(
-                "Trace::position_containing({needle:?}): no retained match, but {} record(s) \
-                 were evicted — the answer is unknowable; use lookup_containing() or a larger \
-                 trace capacity",
-                self.dropped
-            ),
-        }
-    }
-
-    /// `true` if a record containing `a` precedes one containing `b`.
-    ///
-    /// The canonical ordering assertion for protocol tests.
+    /// The canonical ordering assertion for protocol tests: predicates
+    /// match on [`TraceEvent`] variants.
     ///
     /// # Panics
     ///
     /// Panics when any record has been evicted, because the *first*
-    /// occurrence of either needle may have been lost and the observed
-    /// order of the survivors is not evidence of the true order. Use
-    /// [`Trace::happened_before_retained`] for window-relative ordering,
-    /// or a trace capacity large enough that nothing is evicted.
-    pub fn happened_before(&self, a: &str, b: &str) -> bool {
-        assert!(
-            self.dropped == 0,
-            "Trace::happened_before({a:?}, {b:?}): {} record(s) were evicted, so first \
-             occurrences may be lost and the ordering is unknowable; use \
-             happened_before_retained() or a larger trace capacity",
-            self.dropped
-        );
-        self.happened_before_retained(a, b)
-    }
-
-    /// `true` if, *within the retained window*, a record containing `a`
-    /// precedes one containing `b`.
-    ///
-    /// Unlike [`Trace::happened_before`] this does not panic on
-    /// eviction; it answers the weaker, always-well-defined question
-    /// about the surviving records.
-    pub fn happened_before_retained(&self, a: &str, b: &str) -> bool {
-        let ia = self.records.iter().position(|r| r.message.contains(a));
-        let ib = self.records.iter().position(|r| r.message.contains(b));
-        match (ia, ib) {
-            (Some(ia), Some(ib)) => ia < ib,
-            _ => false,
-        }
-    }
-
-    /// `true` if an event matching `a` precedes one matching `b`.
-    ///
-    /// The typed counterpart of [`Trace::happened_before`]: predicates
-    /// match on [`TraceEvent`] variants, so tests assert protocol
-    /// orderings structurally instead of by substring.
-    ///
-    /// # Panics
-    ///
-    /// Panics when any record has been evicted, for the same reason as
-    /// [`Trace::happened_before`].
+    /// occurrence of either event may have been lost and the observed
+    /// order of the survivors is not evidence of the true order.
     pub fn happened_before_events(
         &self,
         a: impl Fn(&TraceEvent) -> bool,
@@ -844,14 +598,6 @@ impl Trace {
             (Some(ia), Some(ib)) => ia < ib,
             _ => false,
         }
-    }
-
-    /// Counts retained records whose message contains `needle`.
-    pub fn count_containing(&self, needle: &str) -> usize {
-        self.records
-            .iter()
-            .filter(|r| r.message.contains(needle))
-            .count()
     }
 
     /// Counts retained typed events matching `pred`.
@@ -902,13 +648,7 @@ impl Trace {
             out.push_str("\",\"tag\":");
             json::push_str(&mut out, r.tag);
             out.push(',');
-            match &r.event {
-                Some(e) => e.write_json_fields(&mut out),
-                None => {
-                    out.push_str("\"type\":\"msg\",\"message\":");
-                    json::push_str(&mut out, &r.message);
-                }
-            }
+            r.event.write_json_fields(&mut out);
             out.push_str("}\n");
         }
         out
@@ -923,68 +663,117 @@ mod tests {
         SimTime::from_millis(ms)
     }
 
+    fn tx(station: u32, kind: FrameKind) -> TraceEvent {
+        TraceEvent::Tx {
+            station,
+            kind,
+            len: 20,
+            rate_mbps: 6.0,
+        }
+    }
+
+    fn is_tx(kind: FrameKind) -> impl Fn(&TraceEvent) -> bool {
+        move |e| matches!(e, TraceEvent::Tx { kind: k, .. } if *k == kind)
+    }
+
+    fn stations(tr: &Trace) -> Vec<u32> {
+        tr.events().map(|(_, e)| e.station()).collect()
+    }
+
     #[test]
     fn emits_and_reads_back() {
         let mut tr = Trace::new(10);
-        tr.info(t(1), "mac", "rts sent");
-        tr.info(t(2), "mac", "cts sent");
+        tr.event(t(1), Level::Info, "mac", tx(1, FrameKind::Rts));
+        tr.event(t(2), Level::Info, "mac", tx(0, FrameKind::Cts));
         assert_eq!(tr.len(), 2);
-        let msgs: Vec<&str> = tr.records().map(|r| r.message.as_str()).collect();
-        assert_eq!(msgs, vec!["rts sent", "cts sent"]);
+        let events: Vec<TraceEvent> = tr.records().map(|r| r.event).collect();
+        assert_eq!(events, vec![tx(1, FrameKind::Rts), tx(0, FrameKind::Cts)]);
     }
 
     #[test]
     fn ring_buffer_evicts_oldest() {
         let mut tr = Trace::new(3);
         for i in 0..5 {
-            tr.info(t(i), "x", format!("m{i}"));
+            tr.event(
+                t(i),
+                Level::Info,
+                "x",
+                TraceEvent::Handoff { station: i as u32 },
+            );
         }
         assert_eq!(tr.len(), 3);
         assert_eq!(tr.dropped(), 2);
-        let msgs: Vec<&str> = tr.records().map(|r| r.message.as_str()).collect();
-        assert_eq!(msgs, vec!["m2", "m3", "m4"]);
+        assert_eq!(stations(&tr), vec![2, 3, 4]);
     }
 
     #[test]
     fn level_filter_drops_below_min() {
         let mut tr = Trace::new(10);
         tr.set_min_level(Level::Info);
-        tr.debug(t(0), "x", "noise");
-        tr.info(t(1), "x", "signal");
-        tr.warn(t(2), "x", "alarm");
+        tr.event(t(0), Level::Debug, "x", TraceEvent::Handoff { station: 0 });
+        tr.event(t(1), Level::Info, "x", TraceEvent::Handoff { station: 1 });
+        tr.event(t(2), Level::Warn, "x", TraceEvent::Handoff { station: 2 });
         assert_eq!(tr.len(), 2);
+        assert_eq!(stations(&tr), vec![1, 2]);
+        assert_eq!(tr.dropped(), 0, "filtered records are not evictions");
+    }
+
+    #[test]
+    fn records_keep_time_level_and_tag() {
+        let mut tr = Trace::new(4);
+        tr.event(t(5), Level::Warn, "phy", TraceEvent::Handoff { station: 7 });
+        let r = *tr.records().next().unwrap();
+        assert_eq!(r.at, t(5));
+        assert_eq!(r.level, Level::Warn);
+        assert_eq!(r.tag, "phy");
+        assert_eq!(r.event, TraceEvent::Handoff { station: 7 });
     }
 
     #[test]
     fn happened_before_orders_correctly() {
         let mut tr = Trace::new(10);
-        tr.info(t(1), "mac", "rts to ap");
-        tr.info(t(2), "mac", "cts from ap");
-        tr.info(t(3), "mac", "data to ap");
-        assert!(tr.happened_before("rts", "cts"));
-        assert!(tr.happened_before("cts", "data"));
-        assert!(!tr.happened_before("data", "rts"));
-        assert!(!tr.happened_before("missing", "rts"));
+        tr.event(t(1), Level::Info, "mac", tx(1, FrameKind::Rts));
+        tr.event(t(2), Level::Info, "mac", tx(0, FrameKind::Cts));
+        tr.event(t(3), Level::Info, "mac", tx(1, FrameKind::Data));
+        assert!(tr.happened_before_events(is_tx(FrameKind::Rts), is_tx(FrameKind::Cts)));
+        assert!(tr.happened_before_events(is_tx(FrameKind::Cts), is_tx(FrameKind::Data)));
+        assert!(!tr.happened_before_events(is_tx(FrameKind::Data), is_tx(FrameKind::Rts)));
+        assert!(!tr.happened_before_events(is_tx(FrameKind::Ack), is_tx(FrameKind::Rts)));
+    }
+
+    /// Once the ring has evicted, the first occurrence of either event
+    /// may be gone, so the ordering query refuses to answer.
+    #[test]
+    #[should_panic(expected = "unknowable")]
+    fn happened_before_events_panics_after_eviction() {
+        let mut tr = Trace::new(2);
+        tr.event(t(0), Level::Info, "mac", tx(1, FrameKind::Rts));
+        tr.event(t(1), Level::Info, "mac", tx(0, FrameKind::Cts));
+        tr.event(t(2), Level::Info, "mac", tx(1, FrameKind::Data)); // evicts the RTS
+        let _ = tr.happened_before_events(is_tx(FrameKind::Cts), is_tx(FrameKind::Data));
     }
 
     #[test]
-    fn count_containing_counts() {
+    fn count_events_counts() {
         let mut tr = Trace::new(10);
-        tr.info(t(1), "mac", "retry 1");
-        tr.info(t(2), "mac", "retry 2");
-        tr.info(t(3), "mac", "ack");
-        assert_eq!(tr.count_containing("retry"), 2);
-        assert_eq!(tr.count_containing("nak"), 0);
-    }
-
-    #[test]
-    fn display_includes_time_and_tag() {
-        let mut tr = Trace::new(4);
-        tr.warn(t(5), "phy", "crc failure");
-        let s = tr.records().next().unwrap().to_string();
-        assert!(s.contains("phy"), "{s}");
-        assert!(s.contains("crc failure"), "{s}");
-        assert!(s.contains("5.000ms"), "{s}");
+        for (ms, short) in [(1u64, 1u32), (2, 2)] {
+            tr.event(
+                t(ms),
+                Level::Info,
+                "mac",
+                TraceEvent::Retry {
+                    station: 0,
+                    short,
+                    long: 0,
+                },
+            );
+        }
+        tr.event(t(3), Level::Info, "mac", tx(0, FrameKind::Ack));
+        assert_eq!(
+            tr.count_events(|e| matches!(e, TraceEvent::Retry { .. })),
+            2
+        );
+        assert_eq!(tr.count_events(|e| matches!(e, TraceEvent::Drop { .. })), 0);
     }
 
     #[test]
@@ -996,52 +785,14 @@ mod tests {
     #[test]
     fn typed_events_round_trip() {
         let mut tr = Trace::new(10);
-        tr.event(
-            t(1),
-            Level::Debug,
-            "mac",
-            TraceEvent::Tx {
-                station: 3,
-                kind: FrameKind::Rts,
-                len: 20,
-                rate_mbps: 6.0,
-            },
-        );
-        tr.event(
-            t(2),
-            Level::Debug,
-            "mac",
-            TraceEvent::Tx {
-                station: 0,
-                kind: FrameKind::Cts,
-                len: 14,
-                rate_mbps: 6.0,
-            },
-        );
+        tr.event(t(1), Level::Debug, "mac", tx(3, FrameKind::Rts));
+        tr.event(t(2), Level::Debug, "mac", tx(0, FrameKind::Cts));
         assert_eq!(tr.events().count(), 2);
-        assert!(tr.happened_before_events(
-            |e| matches!(
-                e,
-                TraceEvent::Tx {
-                    kind: FrameKind::Rts,
-                    ..
-                }
-            ),
-            |e| matches!(
-                e,
-                TraceEvent::Tx {
-                    kind: FrameKind::Cts,
-                    ..
-                }
-            ),
-        ));
+        assert!(tr.happened_before_events(is_tx(FrameKind::Rts), is_tx(FrameKind::Cts)));
         assert_eq!(
             tr.count_events(|e| matches!(e, TraceEvent::Tx { station: 3, .. })),
             1
         );
-        // The rendered message matches the Display impl.
-        let first = tr.records().next().unwrap();
-        assert_eq!(first.message, "tx Rts sta=3 len=20 rate=6.0");
     }
 
     #[test]
@@ -1072,55 +823,7 @@ mod tests {
     }
 
     #[test]
-    fn lookup_is_eviction_aware() {
-        let mut tr = Trace::new(2);
-        tr.info(t(0), "x", "alpha");
-        assert_eq!(tr.lookup_containing("alpha"), Lookup::Found(0));
-        assert_eq!(tr.lookup_containing("beta"), Lookup::Absent);
-        tr.info(t(1), "x", "bravo");
-        tr.info(t(2), "x", "charlie"); // evicts "alpha"
-        assert_eq!(tr.dropped(), 1);
-        assert_eq!(tr.lookup_containing("alpha"), Lookup::Evicted);
-        assert_eq!(tr.lookup_containing("charlie"), Lookup::Found(1));
-    }
-
-    /// Regression: pre-fix, a miss after eviction silently returned
-    /// `None`, so ordering assertions in long runs could pass or fail
-    /// arbitrarily depending on buffer size.
-    #[test]
-    #[should_panic(expected = "unknowable")]
-    fn position_containing_panics_on_evicted_miss() {
-        let mut tr = Trace::new(2);
-        tr.info(t(0), "x", "alpha");
-        tr.info(t(1), "x", "bravo");
-        tr.info(t(2), "x", "charlie"); // evicts "alpha"
-        let _ = tr.position_containing("alpha");
-    }
-
-    /// Regression: pre-fix, `happened_before` silently returned `false`
-    /// once the ring had evicted either needle's first occurrence.
-    #[test]
-    #[should_panic(expected = "unknowable")]
-    fn happened_before_panics_after_eviction() {
-        let mut tr = Trace::new(2);
-        tr.info(t(0), "x", "rts");
-        tr.info(t(1), "x", "cts");
-        tr.info(t(2), "x", "data"); // evicts "rts"
-        let _ = tr.happened_before("rts", "cts");
-    }
-
-    #[test]
-    fn happened_before_retained_answers_window_question() {
-        let mut tr = Trace::new(2);
-        tr.info(t(0), "x", "rts");
-        tr.info(t(1), "x", "cts");
-        tr.info(t(2), "x", "data"); // evicts "rts"
-        assert!(tr.happened_before_retained("cts", "data"));
-        assert!(!tr.happened_before_retained("rts", "cts"));
-    }
-
-    #[test]
-    fn jsonl_serialises_typed_and_string_records() {
+    fn jsonl_serialises_typed_records() {
         let mut tr = Trace::new(8);
         tr.event(
             t(1),
@@ -1133,7 +836,16 @@ mod tests {
                 rate_mbps: 54.0,
             },
         );
-        tr.warn(t(2), "phy", "crc \"failure\"\n".to_string());
+        tr.event(
+            t(2),
+            Level::Warn,
+            "phy",
+            TraceEvent::Drop {
+                station: 2,
+                kind: FrameKind::Data,
+                reason: DropReason::Collision,
+            },
+        );
         let jsonl = tr.to_jsonl("FIG-0.0");
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 2);
@@ -1145,7 +857,7 @@ mod tests {
         assert_eq!(
             lines[1],
             "{\"exp\":\"FIG-0.0\",\"at_ns\":2000000,\"level\":\"warn\",\"tag\":\"phy\",\
-             \"type\":\"msg\",\"message\":\"crc \\\"failure\\\"\\n\"}"
+             \"type\":\"drop\",\"station\":2,\"kind\":\"Data\",\"reason\":\"Collision\"}"
         );
     }
 }

@@ -7,25 +7,34 @@
 use wn_sim::trace::{Level, Trace, TraceEvent};
 use wn_sim::{observability_enabled, set_observability, SimTime};
 
+fn handoff(tr: &mut Trace, ms: u64, station: u32) {
+    tr.event(
+        SimTime::from_millis(ms),
+        Level::Info,
+        "x",
+        TraceEvent::Handoff { station },
+    );
+}
+
 #[test]
 fn kill_switch_suppresses_retention_and_restores() {
     assert!(observability_enabled(), "default must be enabled");
     let mut tr = Trace::new(16);
 
-    tr.info(SimTime::ZERO, "x", "before");
+    handoff(&mut tr, 0, 0);
     set_observability(false);
     assert!(!observability_enabled());
-    tr.info(SimTime::from_millis(1), "x", "while off");
+    handoff(&mut tr, 1, 1);
     tr.event(
         SimTime::from_millis(2),
         Level::Warn,
         "x",
-        TraceEvent::Handoff { station: 1 },
+        TraceEvent::Handoff { station: 2 },
     );
     set_observability(true);
-    tr.info(SimTime::from_millis(3), "x", "after");
+    handoff(&mut tr, 3, 3);
 
-    let msgs: Vec<&str> = tr.records().map(|r| r.message.as_str()).collect();
-    assert_eq!(msgs, vec!["before", "after"]);
+    let stations: Vec<u32> = tr.events().map(|(_, e)| e.station()).collect();
+    assert_eq!(stations, vec![0, 3]);
     assert_eq!(tr.dropped(), 0, "suppressed records are not 'evictions'");
 }

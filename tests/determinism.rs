@@ -4,6 +4,7 @@
 use wireless_networks::core::runner;
 use wireless_networks::core::scenarios::wlan_saturation_full;
 use wireless_networks::phy::modulation::PhyStandard;
+use wireless_networks::sim::stats::fnv1a;
 
 /// The full campaign renders byte-identically on one worker and on
 /// eight. This is the guarantee EXPERIMENTS.md regeneration relies on:
@@ -29,22 +30,36 @@ fn campaign_markdown_is_byte_identical_across_thread_counts() {
 
 /// The observability exports (typed trace + metrics JSONL) are also
 /// byte-identical for any worker count — the guarantee behind
-/// `report --trace-json` / `--metrics-json`.
+/// `report --trace-json` / `--metrics-json`. Their FNV-1a fingerprints
+/// are pinned too, so a format change that every thread count shares
+/// still fails here.
 #[test]
 fn observability_jsonl_is_byte_identical_across_thread_counts() {
     let serial = runner::run_observability(1);
     let parallel = runner::run_observability(8);
+    let trace = runner::observability_trace_jsonl(&serial);
+    let metrics = runner::observability_metrics_jsonl(&serial);
     assert_eq!(
-        runner::observability_trace_jsonl(&serial),
+        trace,
         runner::observability_trace_jsonl(&parallel),
         "trace JSONL diverged between 1 and 8 threads"
     );
     assert_eq!(
-        runner::observability_metrics_jsonl(&serial),
+        metrics,
         runner::observability_metrics_jsonl(&parallel),
         "metrics JSONL diverged between 1 and 8 threads"
     );
     assert!(!serial.is_empty(), "some experiments must be instrumented");
+    assert_eq!(
+        (trace.len(), fnv1a(trace.as_bytes())),
+        (230_091, 0x30b4_548d_7e81_55b8),
+        "trace JSONL bytes changed"
+    );
+    assert_eq!(
+        (metrics.len(), fnv1a(metrics.as_bytes())),
+        (15_421, 0x8982_758f_f5f8_61e6),
+        "metrics JSONL bytes changed"
+    );
 }
 
 /// The simulation fuzzer is deterministic the same way: a seed range's
