@@ -44,10 +44,11 @@
 //!   byte-identical fingerprints throughout. The leg then
 //!   runs two gates: the AIFSN-swap fail-point self-test (the planted
 //!   AC_VO/AC_BK parameter swap must be caught by the
-//!   priority-inversion oracle and shrunk to a small repro) and the
-//!   legacy-equivalence differential (the classic 200-seed digest must
-//!   still hash to its recorded pre-QoS fingerprint, proving the QoS
-//!   machinery is byte-invisible when off).
+//!   priority-inversion oracle and shrunk to a small repro) and two
+//!   digest gates: the classic 200-seed digest must still hash to its
+//!   recorded pre-QoS fingerprint (the QoS machinery is byte-invisible
+//!   when off), and the 200-seed QoS digest to its own recorded
+//!   fingerprint (the EDCA path itself has not drifted).
 //!
 //! On any violation the process prints one line per failing seed, the
 //! one-line repro command, and exits 1.
@@ -62,13 +63,20 @@ use wn_mac80211::shard::ShardRunReport;
 use wn_sim::stats::fnv1a;
 use wn_sim::{worker_count, SimTime};
 
-/// FNV-1a of `range_digest(0, 200, _)` over the classic corpus as
-/// recorded *before* the QoS machinery landed. The `--qos` leg
-/// recomputes the digest and demands this exact fingerprint: with EDCA
-/// off, every scenario, trace and metrics snapshot must remain
-/// byte-identical to the pre-QoS engine.
-const LEGACY_DIGEST_SEEDS: u64 = 200;
+/// FNV-1a of `range_digest(ScenarioGen::default(), 0, 200, _)` over
+/// the classic corpus as recorded *before* the QoS machinery landed.
+/// The `--qos` leg recomputes the digest and demands this exact
+/// fingerprint: with EDCA off, every scenario, trace and metrics
+/// snapshot must remain byte-identical to the pre-QoS engine.
+const DIGEST_SEEDS: u64 = 200;
 const LEGACY_DIGEST_FNV: u64 = 0x4a49_300b_696f_7708;
+
+/// FNV-1a of `range_digest(ScenarioGen::with_qos(), 0, 200, _)`: the
+/// EDCA/A-MPDU corpus's behaviour pin. The `--qos` leg demands it next
+/// to the legacy digest, so a change to the four-lane contention path
+/// (or to aggregation and block ack) cannot pass by comparing the QoS
+/// corpus only with itself.
+const QOS_DIGEST_FNV: u64 = 0xa405_0cbf_e8dc_0d37;
 
 struct Options {
     start: u64,
@@ -387,7 +395,7 @@ fn run_shard_diff(opts: &Options) -> u64 {
 /// The QoS corpus leg: oracle-checked EDCA/A-MPDU worlds (scheduler
 /// order included) across the neighbor cache on/off and the component
 /// executor at 1 vs 2 and 4 workers, then the AIFSN-swap self-test and
-/// the legacy-equivalence differential. Returns the number of failures.
+/// the two corpus-digest gates. Returns the number of failures.
 fn run_qos(opts: &Options) -> u64 {
     let (start, count) = match opts.single {
         Some(seed) => (seed, 1),
@@ -471,25 +479,33 @@ fn run_qos(opts: &Options) -> u64 {
         }
     }
 
-    // The legacy-equivalence differential: with QoS off, the classic
-    // corpus must still produce its recorded pre-QoS digest, byte for
-    // byte.
-    let legacy = fnv1a(range_digest(0, LEGACY_DIGEST_SEEDS, opts.threads).as_bytes());
-    if legacy != LEGACY_DIGEST_FNV {
-        failures += 1;
-        println!(
-            "legacy-equivalence: classic {LEGACY_DIGEST_SEEDS}-seed digest hashed to \
-             {legacy:016x}, expected {LEGACY_DIGEST_FNV:016x} — the QoS machinery leaked \
-             into the EDCA-off path"
-        );
+    // The digest gates: the classic corpus must still produce its
+    // recorded pre-QoS digest, byte for byte (QoS off is invisible),
+    // and the QoS corpus its own recorded digest.
+    for (label, gen, expected) in [
+        (
+            "legacy-equivalence",
+            ScenarioGen::default(),
+            LEGACY_DIGEST_FNV,
+        ),
+        ("qos-digest", ScenarioGen::with_qos(), QOS_DIGEST_FNV),
+    ] {
+        let got = fnv1a(range_digest(gen, 0, DIGEST_SEEDS, opts.threads).as_bytes());
+        if got != expected {
+            failures += 1;
+            println!(
+                "{label}: {DIGEST_SEEDS}-seed corpus digest hashed to {got:016x}, expected \
+                 {expected:016x}"
+            );
+        }
     }
 
     println!(
-        "qos fuzz: {} seeds ({}..{}) x {{cached, direct, shard executor}} + aifsn-swap self-test + {}-seed legacy digest on {} workers in {:.2}s: {} failing ({} multi-shard)",
+        "qos fuzz: {} seeds ({}..{}) x {{cached, direct, shard executor}} + aifsn-swap self-test + {}-seed legacy and qos digests on {} workers in {:.2}s: {} failing ({} multi-shard)",
         count,
         start,
         start + count,
-        LEGACY_DIGEST_SEEDS,
+        DIGEST_SEEDS,
         opts.threads,
         t0.elapsed().as_secs_f64(),
         failures,

@@ -774,12 +774,13 @@ pub fn check_range_gen(
     })
 }
 
-/// Byte-stable JSONL digest of a fuzz range, for determinism tests:
-/// one line per seed with kind, event count, violation count and the
-/// trace and metrics fingerprints.
-pub fn range_digest(start: u64, count: u64, threads: usize) -> String {
+/// Byte-stable JSONL digest of a fuzz range under `gen`, for
+/// determinism tests and digest gates: one line per seed with kind,
+/// event count, violation count and the trace and metrics
+/// fingerprints.
+pub fn range_digest(gen: ScenarioGen, start: u64, count: u64, threads: usize) -> String {
     let mut out = String::new();
-    for r in check_range(start, count, threads) {
+    for r in check_range_gen(gen, start, count, threads, true) {
         out.push_str(&format!(
             "{{\"seed\":{},\"kind\":\"{}\",\"events\":{},\"violations\":{},\"trace_fnv\":\"{:016x}\",\"metrics_fnv\":\"{:016x}\"}}\n",
             r.seed,

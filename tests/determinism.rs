@@ -65,21 +65,36 @@ fn observability_jsonl_is_byte_identical_across_thread_counts() {
 /// The simulation fuzzer is deterministic the same way: a seed range's
 /// digest — per-seed event counts, violation counts and full-trace
 /// fingerprints — is byte-identical at `--threads 1` and `--threads 8`,
-/// and stable across repeat runs in one process.
+/// and stable across repeat runs in one process. The classic and the
+/// EDCA/A-MPDU (`with_qos`) corpora are both covered, and each digest's
+/// FNV-1a is pinned, so a behaviour change that every thread count
+/// shares still fails here — on the legacy DCF path and on the
+/// four-lane EDCA path alike.
 #[test]
 fn fuzzer_digest_is_byte_identical_across_thread_counts() {
-    let serial = wireless_networks::check::range_digest(0, 32, 1);
-    let parallel = wireless_networks::check::range_digest(0, 32, 8);
-    assert!(
-        serial == parallel,
-        "fuzzer digest diverged between 1 and 8 threads"
-    );
-    assert_eq!(serial.lines().count(), 32);
-    assert_eq!(
-        serial,
-        wireless_networks::check::range_digest(0, 32, 8),
-        "fuzzer digest not stable across repeat runs"
-    );
+    use wireless_networks::check::{range_digest, ScenarioGen};
+    for (gen, pin) in [
+        (ScenarioGen::default(), 0x99a9_e988_582f_90f1u64),
+        (ScenarioGen::with_qos(), 0x107f_4daa_706a_9ba4u64),
+    ] {
+        let serial = range_digest(gen, 0, 32, 1);
+        let parallel = range_digest(gen, 0, 32, 8);
+        assert!(
+            serial == parallel,
+            "fuzzer digest diverged between 1 and 8 threads"
+        );
+        assert_eq!(serial.lines().count(), 32);
+        assert_eq!(
+            serial,
+            range_digest(gen, 0, 32, 8),
+            "fuzzer digest not stable across repeat runs"
+        );
+        assert_eq!(
+            fnv1a(serial.as_bytes()),
+            pin,
+            "32-seed fuzz digest bytes changed"
+        );
+    }
 }
 
 /// Scheduler order over the fuzz corpus: every generated scenario is
