@@ -1,8 +1,11 @@
 //! The legacy MSDU attempt: fragmentation, RTS/CTS protection, ACKs,
-//! SIFS-spaced bursts and the short/long retry ladder (§4.2).
+//! SIFS-spaced bursts and the short/long retry ladder (§4.2) — the
+//! frame exchange a legacy station's single contention lane starts
+//! when it wins the medium (`access.rs`).
 
 use std::collections::VecDeque;
 
+use super::access::DCF_LANE;
 use super::{frame_kind, Attempt, BaResult, Expecting, MacEvent, PendingTx, StationId, WlanWorld};
 use crate::duration::{airtime, data_duration, rts_duration};
 use crate::frame::{Frame, FrameType, SequenceControl};
@@ -68,7 +71,7 @@ impl WlanWorld {
             is_retry: false,
             built: None,
         });
-        self.begin_access(id, now, sched);
+        self.begin_access(id, DCF_LANE, now, sched);
     }
 
     /// Transmits the next protocol unit of the current attempt (RTS or
@@ -229,12 +232,11 @@ impl WlanWorld {
         now: SimTime,
         sched: &mut Scheduler<MacEvent>,
     ) {
-        let cw_min = self.cfg.cw_min();
         let Some(at) = self.stations[id].current.take() else {
             return;
         };
         self.dcf.expecting[id] = None;
-        self.dcf.cw[id] = cw_min;
+        self.reset_cw(id, DCF_LANE);
         if success {
             let s = &mut self.stations[id];
             s.stats.tx_completions += 1;
@@ -366,9 +368,8 @@ impl WlanWorld {
                 },
             );
             // Double the contention window and re-contend (BEB).
-            let cw = &mut self.dcf.cw[id];
-            *cw = ((*cw + 1) * 2 - 1).min(self.cfg.cw_max());
-            self.begin_access(id, now, sched);
+            self.double_cw(id, DCF_LANE);
+            self.begin_access(id, DCF_LANE, now, sched);
         }
     }
 

@@ -1,6 +1,13 @@
 //! A-MPDU flights and block ack (802.11e/n; DESIGN.md §16): building
 //! an access category's aggregate, the receiver's per-MPDU handling,
 //! and settling the flight against the block ack (or its absence).
+//!
+//! QoS stations never touch the legacy `Attempt` machinery: each
+//! access category owns a queue and at most one in-flight
+//! [`AmpduFlight`], and contends as one lane of the shared procedure
+//! in `access.rs`. Everything here is reached only from EDCA stations,
+//! so a world with [`MacConfig::edca`](super::MacConfig::edca) off
+//! executes byte-identically to the pre-EDCA MAC.
 
 use super::{
     AccessCategory, AmpduFlight, AmpduMpdu, BaResult, Expecting, MacEvent, PendingTx, StationId,
@@ -274,9 +281,6 @@ impl WlanWorld {
         if let Some(b) = flight.built.take() {
             self.frames.release(b);
         }
-        let params = self
-            .cfg
-            .edca_params(AccessCategory::from_index(aci).expect("4 ACs"));
         let limit = self.cfg.retry_limit_short + u32::from(self.cfg.failpoint_retry_overrun);
         let peer = self.frames.get(flight.mpdus[0].msdu.frame).receiver();
         let flight_ssn = flight.ssn;
@@ -382,21 +386,19 @@ impl WlanWorld {
             self.stations[id].arf.on_failure(peer);
         }
         if remaining.is_empty() {
-            let e = self.stations[id].edca.as_mut().expect("EDCA station");
-            e.acs[aci].cw = params.cw_min;
-            let backlogged = !e.acs[aci].queue.is_empty();
-            if backlogged {
+            self.reset_cw(id, aci);
+            let e = self.stations[id].edca.as_ref().expect("EDCA station");
+            if !e.acs[aci].queue.is_empty() {
                 // Post-transmission backoff before the next aggregate.
-                self.edca_begin_access(id, aci, now, sched);
+                self.begin_access(id, aci, now, sched);
             }
         } else {
             flight.ssn = remaining[0].seq;
             flight.mpdus = remaining;
             let e = self.stations[id].edca.as_mut().expect("EDCA station");
-            let a = &mut e.acs[aci];
-            a.flight = Some(flight);
-            a.cw = ((a.cw + 1) * 2 - 1).min(params.cw_max);
-            self.edca_begin_access(id, aci, now, sched);
+            e.acs[aci].flight = Some(flight);
+            self.double_cw(id, aci);
+            self.begin_access(id, aci, now, sched);
         }
         for (fr, ok) in outcomes {
             self.with_upper(id, now, sched, |u, ctx| u.on_tx_result(ctx, &fr, ok));

@@ -15,10 +15,36 @@
 //!   fragment burst holds the medium with SIFS gaps.
 //! - **Reception** — SINR-based error sampling over the interferer set,
 //!   with the capture effect switchable (a DESIGN.md ablation).
+//! - **EDCA / A-MPDU** — with [`MacConfig::edca`] on, four
+//!   access-category queues contend as four lanes and the winner sends
+//!   an A-MPDU answered by a compressed block ack (DESIGN.md §16).
 //!
 //! Higher layers (association, beacons, the distribution system — the
 //! `wn-net80211` crate) plug in through the [`UpperLayer`] trait and
 //! drive the MAC with [`Command`]s.
+//!
+//! # Map of the module
+//!
+//! Every submodule adds methods to [`WlanWorld`]; the state they share
+//! is defined here.
+//!
+//! - `mod.rs` — configuration, the event and command types, station
+//!   and world state, the public API, upper-layer glue and the
+//!   [`World`] impl that dispatches each [`MacEvent`].
+//! - `plan.rs` — propagation: link-budget rows, the audible reach, the
+//!   neighbor-cache build and its mobility patches, shard planning and
+//!   re-validation.
+//! - `rx.rs` — the medium: a transmission's start (busy edges) and its
+//!   end, where the reception decision runs (overlap filter,
+//!   interference sum, SINR, error draw), then the receivers' handling
+//!   of each decoded frame.
+//! - `access.rs` — queue admission and the one contention procedure
+//!   (begin, arm, freeze, fire) over a station's lanes: one lane with
+//!   AIFS = DIFS on a legacy station, four on an EDCA station.
+//! - `dcf.rs` — the MSDU attempt a legacy lane starts when it wins:
+//!   fragmentation, RTS/CTS, ACK, SIFS bursts and the retry ladder.
+//! - `edca.rs` — the A-MPDU flight an EDCA lane starts when it wins:
+//!   aggregation, per-MPDU reception and block-ack settlement.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -509,18 +535,21 @@ struct AmpduFlight {
 #[derive(Default)]
 struct AcState {
     queue: VecDeque<Msdu>,
-    cw: u32,
-    /// Remaining backoff slots; `None` when this AC is not contending.
-    slots: Option<u32>,
     flight: Option<AmpduFlight>,
 }
 
 /// Per-station EDCA state, allocated only when [`MacConfig::edca`] is
-/// on — legacy DCF worlds never touch (or pay for) any of it.
+/// on — legacy DCF worlds never touch (or pay for) any of it. Every
+/// array is indexed by [`AccessCategory::index`]; `slots` and `cw` are
+/// the station's four contention lanes (`access.rs`).
 #[derive(Default)]
 struct EdcaState {
-    /// Access categories, indexed by [`AccessCategory::index`].
+    /// Per-AC queues and in-flight aggregates.
     acs: [AcState; 4],
+    /// Remaining backoff slots per lane; `None` when not contending.
+    slots: [Option<u32>; 4],
+    /// Contention window per lane.
+    cw: [u32; 4],
     /// Which AC's aggregate is on the air / awaiting its block ack.
     tx_ac: Option<usize>,
 }
@@ -528,17 +557,12 @@ struct EdcaState {
 impl EdcaState {
     fn new(cfg: &MacConfig) -> Box<EdcaState> {
         let mut e = Box::<EdcaState>::default();
-        for (i, a) in e.acs.iter_mut().enumerate() {
-            a.cw = cfg
+        for (i, cw) in e.cw.iter_mut().enumerate() {
+            *cw = cfg
                 .edca_params(AccessCategory::from_index(i).expect("4 ACs"))
                 .cw_min;
         }
         e
-    }
-
-    /// Whether any AC holds an armed (possibly frozen) backoff.
-    fn any_slots(&self) -> bool {
-        self.acs.iter().any(|a| a.slots.is_some())
     }
 }
 
@@ -595,11 +619,15 @@ struct DcfState {
     audible: Vec<AudibleSet>,
     /// The record id of this station's own in-flight transmission.
     transmitting: Vec<Option<u64>>,
-    /// Remaining backoff slots; `None` means no access procedure armed.
+    /// The legacy contention lane's remaining backoff slots; `None`
+    /// when it is not contending (EDCA stations keep their four lanes
+    /// in [`EdcaState`]).
     backoff_slots: Vec<Option<u32>>,
-    /// When the currently-armed access timer started counting.
+    /// When the currently-armed access timer started counting (one
+    /// timer per station, over all of its lanes).
     access_armed_at: Vec<Option<SimTime>>,
-    /// Contention window (doubles on retry, resets on completion).
+    /// The legacy lane's contention window (doubles on retry, resets
+    /// on completion).
     cw: Vec<u32>,
     /// Generation guard invalidating stale scheduled timers.
     timer_gen: Vec<u64>,
@@ -677,7 +705,8 @@ pub enum MacEvent {
         /// Record id.
         tx_id: u64,
     },
-    /// DIFS + backoff completed; transmit if still valid.
+    /// A contention lane's AIFS + backoff completed; its frame exchange
+    /// takes the medium if the timer is still valid.
     AccessTimer {
         /// Station whose timer fired.
         station: StationId,
@@ -1324,7 +1353,7 @@ impl WlanWorld {
         sched: &mut Scheduler<MacEvent>,
     ) {
         let fid = self.frames.insert(frame);
-        self.enqueue_id(id, fid, now, sched);
+        self.enqueue_id(id, fid, AccessCategory::Be, now, sched);
     }
 }
 
@@ -1343,18 +1372,8 @@ impl World for WlanWorld {
             }
             MacEvent::TxEnd { tx_id } => self.handle_tx_end(tx_id, now, sched),
             MacEvent::AccessTimer { station, gen } => {
-                if self.dcf.timer_gen[station] != gen {
-                    return;
-                }
-                if self.stations[station].edca.is_some() {
-                    self.edca_access_fire(station, now, sched);
-                    return;
-                }
-                self.dcf.access_armed_at[station] = None;
-                self.dcf.backoff_slots[station] = None;
-                self.contenders.remove(station);
-                if self.stations[station].current.is_some() {
-                    self.transmit_current(station, now, sched);
+                if self.dcf.timer_gen[station] == gen {
+                    self.access_fire(station, now, sched);
                 }
             }
             MacEvent::ResponseTimeout { station, gen } => {
@@ -1364,7 +1383,7 @@ impl World for WlanWorld {
                 self.handle_sifs_action(station, gen, now, sched);
             }
             MacEvent::NavExpired { station } => {
-                if self.dcf.backoff_slots[station].is_some() && self.medium_idle(station, now) {
+                if self.medium_idle(station, now) {
                     self.try_arm_access(station, now, sched);
                 }
             }
@@ -1376,15 +1395,11 @@ impl World for WlanWorld {
             }
             MacEvent::Inject { station, frame } => {
                 self.staged -= 1;
-                self.enqueue_id(station, frame, now, sched);
+                self.enqueue_id(station, frame, AccessCategory::Be, now, sched);
             }
             MacEvent::InjectQos { station, frame, ac } => {
                 self.staged -= 1;
-                if self.stations[station].edca.is_some() {
-                    self.edca_enqueue(station, frame, ac, now, sched);
-                } else {
-                    self.enqueue_id(station, frame, now, sched);
-                }
+                self.enqueue_id(station, frame, ac, now, sched);
             }
             MacEvent::TxDropped { station, frame } => {
                 self.staged -= 1;

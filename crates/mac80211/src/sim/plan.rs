@@ -169,8 +169,9 @@ impl WlanWorld {
         out
     }
 
-    /// Moves a station (the [`MacEvent::SetPosition`] handler, exposed
-    /// for mobility models driving the world directly). With a live
+    /// Moves a station (the
+    /// [`MacEvent::SetPosition`](super::MacEvent::SetPosition) handler,
+    /// exposed for mobility models driving the world directly). With a live
     /// grid the patch is O(k): the mover's cell membership updates,
     /// its row rebuilds over the *new* neighborhood, and only the rows
     /// of stations entering or leaving that neighborhood are touched —

@@ -307,7 +307,7 @@ impl WlanWorld {
         scratch.clear();
         self.contenders.collect_into(&mut scratch);
         for &r in &scratch {
-            if self.medium_idle(r, now) && self.dcf.backoff_slots[r].is_some() {
+            if self.medium_idle(r, now) {
                 self.try_arm_access(r, now, sched);
             }
         }
