@@ -54,9 +54,9 @@
 //! one-line repro command, and exits 1.
 
 use wn_check::{
-    check_range, check_range_gen, check_range_opts, check_seed, line_world_run, range_digest,
-    repro_command, run, shard_diff_range, shard_diff_range_gen, shard_diff_seed, shrink,
-    station_count, ScenarioGen, ShardDiffReport, LINE_WORLD_SPACINGS,
+    check_range, check_range_gen, check_seed, line_world_run, range_digest, repro_command, run,
+    shard_diff_range, shard_diff_range_gen, shard_diff_seed, shrink, station_count, ScenarioGen,
+    ShardDiffReport, LINE_WORLD_SPACINGS,
 };
 use wn_core::scenarios::{city_dcf_point, metro_dcf_planning_world, CITY_DCF_RANGE_M};
 use wn_mac80211::shard::ShardRunReport;
@@ -146,20 +146,9 @@ fn parse(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-/// Prints the violations for one failing seed; with `--shrink`, also
-/// minimises the scenario and prints the shrunk repro.
-fn report_failure(seed: u64, summary: &str, violations: &[wn_check::Violation], do_shrink: bool) {
-    report_failure_gen(
-        &ScenarioGen::default(),
-        seed,
-        summary,
-        violations,
-        do_shrink,
-    );
-}
-
-/// [`report_failure`] under an explicit generator, so `--qos` failures
-/// shrink the scenario the QoS corpus actually drew.
+/// Prints the violations for one failing seed of `gen`'s corpus; with
+/// `--shrink`, also minimises the scenario `gen` drew and prints the
+/// shrunk repro.
 fn report_failure_gen(
     gen: &ScenarioGen,
     seed: u64,
@@ -198,8 +187,9 @@ fn run_cache_diff(opts: &Options) -> u64 {
         None => (opts.start, opts.count),
     };
     let t0 = std::time::Instant::now();
-    let cached = check_range_opts(start, count, opts.threads, true);
-    let direct = check_range_opts(start, count, opts.threads, false);
+    let classic = ScenarioGen::default();
+    let cached = check_range_gen(classic, start, count, opts.threads, true);
+    let direct = check_range_gen(classic, start, count, opts.threads, false);
     let mut failures = 0u64;
     for (c, d) in cached.iter().zip(&direct) {
         let agree =
@@ -214,7 +204,7 @@ fn run_cache_diff(opts: &Options) -> u64 {
         }
         if !c.violations.is_empty() {
             failures += 1;
-            report_failure(c.seed, &c.summary, &c.violations, opts.shrink);
+            report_failure_gen(&classic, c.seed, &c.summary, &c.violations, opts.shrink);
         }
     }
     failures += multi_cell_legs();
@@ -545,6 +535,7 @@ fn main() {
 
     let t0 = std::time::Instant::now();
     let mut failures = 0u64;
+    let classic = ScenarioGen::default();
 
     if let Some(seed) = opts.single {
         let r = check_seed(seed);
@@ -552,7 +543,7 @@ fn main() {
             println!("seed {seed}: ok  {} ({} events)", r.summary, r.events);
         } else {
             failures += 1;
-            report_failure(seed, &r.summary, &r.violations, opts.shrink);
+            report_failure_gen(&classic, seed, &r.summary, &r.violations, opts.shrink);
         }
     } else {
         let reports = check_range(opts.start, opts.count, opts.threads);
@@ -560,7 +551,7 @@ fn main() {
         for r in &reports {
             if !r.violations.is_empty() {
                 failures += 1;
-                report_failure(r.seed, &r.summary, &r.violations, opts.shrink);
+                report_failure_gen(&classic, r.seed, &r.summary, &r.violations, opts.shrink);
             }
         }
         println!(

@@ -18,7 +18,8 @@
 //! A final pair of sections benchmarks the hot paths in isolation on
 //! the SCALE-DCF saturation workload: `neighbors` times the cached
 //! propagation path against the direct O(n) fan-out at 100 and 1000
-//! stations (digests must match bit-for-bit), and `scheduler` replays
+//! stations, alternating over several repeats (median and min/max;
+//! digests must match bit-for-bit in every run), and `scheduler` replays
 //! the recorded push/pop op stream of a 1000-station run payload-free
 //! through the timer wheel and the reference binary heap, alternating
 //! over several repeats (median and min/max) — the isolated queue
@@ -34,9 +35,10 @@
 //! A `qos` section races A-MPDU aggregation on vs off on the saturated
 //! DENSE-OBSS flagship block: the same offered backlog through the
 //! EDCA queues with the aggregation cap at the default 16 MPDUs and
-//! clamped to 1 (one MPDU per TXOP). The offered load must match
-//! exactly and the aggregated run must deliver at least as much — the
-//! deterministic form of "aggregation amortises contention overhead".
+//! clamped to 1 (one MPDU per TXOP), alternating over several repeats
+//! (median and min/max). The offered load must match exactly and the
+//! aggregated run must deliver at least as much — the deterministic
+//! form of "aggregation amortises contention overhead".
 //!
 //! A `grid` section measures what the spatial hash grid buys on the
 //! CITY-DCF flagship city (DESIGN.md §17): the grid-backed
@@ -57,7 +59,7 @@ use std::time::Instant;
 use wn_core::runner;
 use wn_core::scenarios::{
     city_dcf_run, city_dcf_size, dense_obss_point_opts, metro_dcf_planning_world, metro_dcf_sweep,
-    scale_dcf_op_log, scale_dcf_point_opts, CITY_DCF_RANGE_M, DENSE_OBSS_MIX,
+    scale_dcf_op_log, scale_dcf_point_opts, DenseObssPoint, CITY_DCF_RANGE_M, DENSE_OBSS_MIX,
 };
 use wn_phy::propagation::{LogDistance, PathLoss};
 use wn_sim::{
@@ -391,54 +393,68 @@ fn spread(v: &mut [f64]) -> (f64, f64, f64) {
 /// block and returns the `"qos"` JSON object (indented two spaces,
 /// trailing newline): the identical per-AC offered backlog pushed
 /// through the EDCA queues with the aggregation cap at the default
-/// (16 MPDUs per A-MPDU) and clamped to 1. Panics if the two runs
-/// disagree on offered load or if turning aggregation on loses
-/// goodput — both runs are fully deterministic, so the comparison is
-/// stable across hosts.
+/// (16 MPDUs per A-MPDU) and clamped to 1. The two sides alternate
+/// over `REPEATS` runs each (median, min/max) so host drift hits both
+/// alike. Panics if any repeat of a side differs from its first run,
+/// if the sides disagree on offered load, or if turning aggregation on
+/// loses goodput — both runs are fully deterministic, so the
+/// comparison is stable across hosts.
 fn qos_section() -> String {
     const ROWS: usize = 3;
     const COLS: usize = 3;
     const DURATION_MS: u64 = 120;
     const SEED: u64 = 42;
     const CAPS: [usize; 2] = [1, 16];
+    const REPEATS: usize = 5;
 
-    let mut runs = Vec::new();
-    for cap in CAPS {
-        eprintln!("perfsuite: DENSE-OBSS {ROWS}x{COLS} dur={DURATION_MS}ms ampdu_max_mpdus={cap}…");
-        let ev0 = global_events_processed();
-        let t0 = Instant::now();
-        let p = dense_obss_point_opts(ROWS, COLS, DURATION_MS, SEED, DENSE_OBSS_MIX, cap);
-        let wall = t0.elapsed().as_secs_f64();
-        let events = global_events_processed() - ev0;
-        eprintln!(
-            "perfsuite: ampdu={cap}: {wall:.3} s, {:.2} Mbps delivered ({:.0} ev/s)",
-            p.aggregate_mbps,
-            events as f64 / wall
-        );
-        runs.push((cap, wall, events, p));
+    let mut walls: [Vec<f64>; 2] = Default::default();
+    let mut runs: [Option<(u64, DenseObssPoint)>; 2] = Default::default();
+    for rep in 1..=REPEATS {
+        for ((cap, wall_v), first) in CAPS.into_iter().zip(walls.iter_mut()).zip(runs.iter_mut()) {
+            let ev0 = global_events_processed();
+            let t0 = Instant::now();
+            let p = dense_obss_point_opts(ROWS, COLS, DURATION_MS, SEED, DENSE_OBSS_MIX, cap);
+            let wall = t0.elapsed().as_secs_f64();
+            let events = global_events_processed() - ev0;
+            eprintln!(
+                "perfsuite: DENSE-OBSS {ROWS}x{COLS} dur={DURATION_MS}ms ampdu_max_mpdus={cap}, run {rep}/{REPEATS}: {wall:.3} s, {:.2} Mbps delivered",
+                p.aggregate_mbps
+            );
+            match first {
+                None => *first = Some((events, p)),
+                Some((ev, q)) => assert!(
+                    *ev == events && q.completed == p.completed && q.ac_p50_us == p.ac_p50_us,
+                    "ampdu_max_mpdus={cap} diverged from its first run"
+                ),
+            }
+            wall_v.push(wall);
+        }
     }
-    let (no_agg, agg) = (&runs[0], &runs[1]);
+    let [no_agg, agg] = runs.map(|r| r.expect("at least one run per side"));
     assert_eq!(
-        no_agg.3.offered, agg.3.offered,
+        no_agg.1.offered, agg.1.offered,
         "aggregation cap changed the offered backlog"
     );
     assert!(
-        agg.3.completed >= no_agg.3.completed,
+        agg.1.completed >= no_agg.1.completed,
         "A-MPDU aggregation lost goodput on the saturated block: {} < {} MSDUs",
-        agg.3.completed,
-        no_agg.3.completed
+        agg.1.completed,
+        no_agg.1.completed
     );
-    let gain = agg.3.aggregate_mbps / no_agg.3.aggregate_mbps.max(f64::MIN_POSITIVE);
+    let gain = agg.1.aggregate_mbps / no_agg.1.aggregate_mbps.max(f64::MIN_POSITIVE);
     eprintln!("perfsuite: A-MPDU aggregation: {gain:.2}x goodput vs one MPDU per TXOP");
 
     let mut out = format!(
-        "  \"qos\": {{\n    \"workload\": \"DENSE-OBSS rows={ROWS} cols={COLS} duration_ms={DURATION_MS} seed={SEED}, EDCA queues, aggregation on vs off\",\n    \"offered_msdus\": {},\n",
-        no_agg.3.offered,
+        "  \"qos\": {{\n    \"workload\": \"DENSE-OBSS rows={ROWS} cols={COLS} duration_ms={DURATION_MS} seed={SEED}, EDCA queues, aggregation on vs off, {REPEATS} alternating repeats each\",\n    \"repeats\": {REPEATS},\n    \"offered_msdus\": {},\n",
+        no_agg.1.offered,
     );
-    for (cap, wall, events, p) in &runs {
-        let label = if *cap == 1 { "no_aggregation" } else { "ampdu" };
+    for ((cap, wall_v), (events, p)) in CAPS.into_iter().zip(walls.iter_mut()).zip([&no_agg, &agg])
+    {
+        let label = if cap == 1 { "no_aggregation" } else { "ampdu" };
+        let (median, min, max) = spread(wall_v);
         out.push_str(&format!(
-            "    \"{label}\": {{ \"ampdu_max_mpdus\": {cap}, \"wall_s\": {wall:.3}, \"events\": {events}, \"completed_msdus\": {}, \"delivered_frac\": {:.3}, \"goodput_mbps\": {:.2}, \"vo_p50_us\": {}, \"be_p50_us\": {} }},\n",
+            "    \"{label}\": {{ \"ampdu_max_mpdus\": {cap}, \"wall_s_median\": {median:.4}, \"wall_s_min\": {min:.4}, \"wall_s_max\": {max:.4}, \"events\": {events}, \"events_per_s_median\": {:.0}, \"completed_msdus\": {}, \"delivered_frac\": {:.3}, \"goodput_mbps\": {:.2}, \"vo_p50_us\": {}, \"be_p50_us\": {} }},\n",
+            *events as f64 / median,
             p.completed,
             p.delivered_frac(),
             p.aggregate_mbps,
@@ -447,7 +463,7 @@ fn qos_section() -> String {
         ));
     }
     out.push_str(&format!(
-        "    \"identical_offered_load\": true,\n    \"aggregation_goodput_gain\": {gain:.2}\n  }}\n"
+        "    \"identical_offered_load\": true,\n    \"identical_repeats\": true,\n    \"aggregation_goodput_gain\": {gain:.2}\n  }}\n"
     ));
     out
 }
@@ -455,50 +471,65 @@ fn qos_section() -> String {
 /// Benchmarks the neighbor-cache hot path against the direct O(n)
 /// propagation fan-out on SCALE-DCF at 100 and 1000 stations and
 /// returns the `"neighbors"` JSON object (indented two spaces,
-/// trailing newline). Panics unless the cached and direct runs
-/// deliver the same event count and metrics digest at every size.
+/// trailing newline). The two paths alternate over `REPEATS` runs
+/// each (median, min/max). Panics unless every cached and direct run
+/// at a size delivers the same event count and metrics digest.
 fn neighbors_section() -> String {
     const DURATION_MS: u64 = 200;
     const SEED: u64 = 42;
     const SIZES: [usize; 2] = [100, 1000];
+    const REPEATS: usize = 5;
 
     let mut rows = Vec::new();
     for stations in SIZES {
-        let timed = |cache: bool| {
-            let label = if cache { "cached" } else { "direct" };
-            eprintln!("perfsuite: SCALE-DCF n={stations} dur={DURATION_MS}ms {label} propagation…");
-            let t0 = Instant::now();
-            let p = scale_dcf_point_opts(stations, DURATION_MS, SEED, cache);
-            let wall = t0.elapsed().as_secs_f64();
-            eprintln!(
-                "perfsuite: SCALE-DCF n={stations} {label}: {wall:.3} s ({:.0} ev/s)",
-                p.events as f64 / wall
-            );
-            (wall, p)
-        };
-        let (cached_s, cached) = timed(true);
-        let (direct_s, direct) = timed(false);
-        assert_eq!(
-            (cached.events, cached.metrics_fnv),
-            (direct.events, direct.metrics_fnv),
-            "neighbor cache diverged from the direct path on SCALE-DCF n={stations}"
-        );
-        let speedup = direct_s / cached_s;
-        eprintln!("perfsuite: neighbor cache at n={stations}: {speedup:.2}x vs direct");
-        rows.push((stations, cached_s, direct_s, cached, speedup));
+        let mut walls: [Vec<f64>; 2] = Default::default();
+        let mut reference = None;
+        for rep in 1..=REPEATS {
+            for (cache, wall_v) in [true, false].into_iter().zip(walls.iter_mut()) {
+                let label = if cache { "cached" } else { "direct" };
+                let t0 = Instant::now();
+                let p = scale_dcf_point_opts(stations, DURATION_MS, SEED, cache);
+                let wall = t0.elapsed().as_secs_f64();
+                eprintln!(
+                    "perfsuite: SCALE-DCF n={stations} dur={DURATION_MS}ms {label} propagation, run {rep}/{REPEATS}: {wall:.3} s ({:.0} ev/s)",
+                    p.events as f64 / wall
+                );
+                let (events, fnv) = *reference.get_or_insert((p.events, p.metrics_fnv));
+                assert_eq!(
+                    (p.events, p.metrics_fnv),
+                    (events, fnv),
+                    "{label} run diverged on SCALE-DCF n={stations}"
+                );
+                wall_v.push(wall);
+            }
+        }
+        let [cached, direct] = walls.map(|mut v| spread(&mut v));
+        let speedup = direct.0 / cached.0;
+        eprintln!("perfsuite: neighbor cache at n={stations}: {speedup:.2}x vs direct (medians)");
+        rows.push((
+            stations,
+            cached,
+            direct,
+            reference.expect("at least one run"),
+            speedup,
+        ));
     }
 
     let mut out = format!(
-        "  \"neighbors\": {{\n    \"workload\": \"SCALE-DCF duration_ms={DURATION_MS} seed={SEED}, cached vs direct propagation\",\n"
+        "  \"neighbors\": {{\n    \"workload\": \"SCALE-DCF duration_ms={DURATION_MS} seed={SEED}, cached vs direct propagation, {REPEATS} alternating repeats each\",\n    \"repeats\": {REPEATS},\n"
     );
-    for (i, (stations, cached_s, direct_s, p, speedup)) in rows.iter().enumerate() {
+    for (i, (stations, cached, direct, (events, fnv), speedup)) in rows.iter().enumerate() {
         let sep = if i + 1 < rows.len() { "," } else { "" };
+        let side = |(med, lo, hi): (f64, f64, f64)| {
+            format!(
+                "\"wall_s_median\": {med:.3}, \"wall_s_min\": {lo:.3}, \"wall_s_max\": {hi:.3}, \"events_per_s_median\": {:.0}",
+                *events as f64 / med
+            )
+        };
         out.push_str(&format!(
-            "    \"n{stations}\": {{\n      \"cached\": {{ \"wall_s\": {cached_s:.3}, \"events_per_s\": {:.0} }},\n      \"direct\": {{ \"wall_s\": {direct_s:.3}, \"events_per_s\": {:.0} }},\n      \"events\": {},\n      \"metrics_fnv\": \"{:016x}\",\n      \"identical_output\": true,\n      \"cache_speedup\": {speedup:.2}\n    }}{sep}\n",
-            p.events as f64 / cached_s,
-            p.events as f64 / direct_s,
-            p.events,
-            p.metrics_fnv,
+            "    \"n{stations}\": {{\n      \"cached\": {{ {} }},\n      \"direct\": {{ {} }},\n      \"events\": {events},\n      \"metrics_fnv\": \"{fnv:016x}\",\n      \"identical_output\": true,\n      \"cache_speedup\": {speedup:.2}\n    }}{sep}\n",
+            side(*cached),
+            side(*direct),
         ));
     }
     out.push_str("  }\n");

@@ -40,9 +40,8 @@ pub mod shrink;
 
 pub use oracle::{oracles, Invariant, Violation};
 pub use run::{
-    check_range, check_range_gen, check_range_opts, check_seed, check_seed_gen, check_seed_opts,
-    line_world_run, range_digest, run_oracles, run_scenario, run_scenario_opts, LineRun,
-    SeedReport, LINE_WORLD_SPACINGS,
+    check_range, check_range_gen, check_seed, check_seed_gen, line_world_run, range_digest,
+    run_oracles, run_scenario, run_scenario_opts, LineRun, SeedReport, LINE_WORLD_SPACINGS,
 };
 pub use scenario::{Scenario, ScenarioGen, ScenarioKind};
 pub use shard::{

@@ -710,16 +710,12 @@ pub struct SeedReport {
 
 /// Generates, runs and checks the scenario for `seed`.
 pub fn check_seed(seed: u64) -> SeedReport {
-    check_seed_opts(seed, true)
+    check_seed_gen(&ScenarioGen::default(), seed, true)
 }
 
-/// [`check_seed`] with an explicit neighbor-cache switch.
-pub fn check_seed_opts(seed: u64, neighbor_cache: bool) -> SeedReport {
-    check_seed_gen(&ScenarioGen::default(), seed, neighbor_cache)
-}
-
-/// [`check_seed_opts`] under an explicit scenario generator — how the
-/// `--qos` corpus and the fail-point self-tests run seeds.
+/// [`check_seed`] under an explicit scenario generator and
+/// neighbor-cache switch — how the `--qos` corpus, the cache
+/// differential and the fail-point self-tests run seeds.
 pub fn check_seed_gen(gen: &ScenarioGen, seed: u64, neighbor_cache: bool) -> SeedReport {
     let sc = gen.scenario(seed);
     let art = run_scenario_opts(&sc, neighbor_cache);
@@ -741,26 +737,11 @@ pub fn check_seed_gen(gen: &ScenarioGen, seed: u64, neighbor_cache: bool) -> See
 /// reports — including every trace fingerprint — are identical for any
 /// `threads` value.
 pub fn check_range(start: u64, count: u64, threads: usize) -> Vec<SeedReport> {
-    check_range_opts(start, count, threads, true)
+    check_range_gen(ScenarioGen::default(), start, count, threads, true)
 }
 
-/// [`check_range`] with an explicit neighbor-cache switch.
-pub fn check_range_opts(
-    start: u64,
-    count: u64,
-    threads: usize,
-    neighbor_cache: bool,
-) -> Vec<SeedReport> {
-    check_range_gen(
-        ScenarioGen::default(),
-        start,
-        count,
-        threads,
-        neighbor_cache,
-    )
-}
-
-/// [`check_range_opts`] under an explicit scenario generator.
+/// [`check_range`] under an explicit scenario generator and
+/// neighbor-cache switch.
 pub fn check_range_gen(
     gen: ScenarioGen,
     start: u64,

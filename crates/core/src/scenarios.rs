@@ -12,7 +12,8 @@ use wn_mac80211::shard::{
     component_seed, propagation_delay, run_components, ShardPlan, ShardRunReport,
 };
 use wn_mac80211::sim::{
-    boot, inject_at, qos_inject_at, AccessCategory, MacConfig, NullUpper, WlanWorld,
+    boot, inject_at, neighbor_cache_default, qos_inject_at, AccessCategory, MacConfig, NullUpper,
+    WlanWorld,
 };
 use wn_net80211::builder::{ibss_send, schedule_walk, send_app_data, EssBuilder, IbssBuilder};
 use wn_net80211::ssid::Ssid;
@@ -1461,14 +1462,10 @@ pub struct ScaleDcfPoint {
 /// whole backlog pre-scheduled as `Inject` timers spread over the first
 /// 90% of the horizon — so the scheduler carries tens of thousands of
 /// pending timers for the entire run, the dense-timer regime calendar
-/// queues were built for.
-pub fn scale_dcf_sim(stations: usize, duration_ms: u64, seed: u64) -> Simulation<WlanWorld> {
-    scale_dcf_sim_opts(stations, duration_ms, seed, true)
-}
-
-/// [`scale_dcf_sim`] with the neighbor cache forced on or off — the
-/// lever the perfsuite `neighbors` section and the cache-equivalence
-/// checks use to time and compare the two propagation paths.
+/// queues were built for. The neighbor cache is switched explicitly —
+/// the lever the perfsuite `neighbors` section and the
+/// cache-equivalence checks use to time and compare the two
+/// propagation paths.
 pub fn scale_dcf_sim_opts(
     stations: usize,
     duration_ms: u64,
@@ -1554,9 +1551,11 @@ pub fn scale_dcf_op_log(stations: usize, duration_ms: u64, seed: u64) -> (Vec<u1
 }
 
 /// Runs one saturated-BSS point and reduces it to throughput, fairness,
-/// delay and digest observables.
+/// delay and digest observables. The world follows the process-wide
+/// neighbor-cache default, so `report --no-neighbor-cache` runs it on
+/// the direct path.
 pub fn scale_dcf_point(stations: usize, duration_ms: u64, seed: u64) -> ScaleDcfPoint {
-    scale_dcf_point_opts(stations, duration_ms, seed, true)
+    scale_dcf_point_opts(stations, duration_ms, seed, neighbor_cache_default())
 }
 
 /// [`scale_dcf_point`] with the neighbor cache forced on or off.
@@ -1844,7 +1843,6 @@ fn city_dcf_component(
     let mut cfg = city_dcf_config(seed, senders, duration_ms);
     cfg.seed = component_seed(seed, k);
     let mut w = WlanWorld::new(cfg);
-    w.set_neighbor_cache(true);
     for &g in members {
         w.add_station(
             MacAddr::station(g as u32),
@@ -2407,7 +2405,6 @@ fn dense_obss_sim(
     cfg.ampdu_max_mpdus = ampdu_max_mpdus;
     cfg.queue_limit = counts.iter().sum::<u64>() as usize + 4;
     let mut w = WlanWorld::new(cfg);
-    w.set_neighbor_cache(true);
     for cell in 0..cells {
         let (row, col) = (cell / cols, cell % cols);
         let cx = col as f64 * DENSE_OBSS_SPACING_M;

@@ -20,13 +20,14 @@ impl Dbm {
         10f64.powf(self.0 / 10.0)
     }
 
-    /// Creates from linear milliwatts.
+    /// Creates from linear milliwatts; zero power is −∞ dBm (a sum
+    /// whose every term was below `f64`'s range, or no term at all).
     ///
     /// # Panics
     ///
-    /// Panics if `mw` is not positive.
+    /// Panics if `mw` is negative or NaN.
     pub fn from_milliwatts(mw: f64) -> Self {
-        assert!(mw > 0.0, "power must be positive, got {mw} mW");
+        assert!(mw >= 0.0, "power must be non-negative, got {mw} mW");
         Dbm(10.0 * mw.log10())
     }
 
@@ -260,6 +261,24 @@ mod tests {
         assert!((Dbm(20.0).to_milliwatts() - 100.0).abs() < 1e-9);
         assert!((Dbm::from_milliwatts(100.0).value() - 20.0).abs() < 1e-9);
         assert!((Dbm(-30.0).to_milliwatts() - 0.001).abs() < 1e-12);
+    }
+
+    #[test]
+    fn zero_milliwatts_is_minus_infinity_dbm() {
+        assert_eq!(Dbm::from_milliwatts(0.0).value(), f64::NEG_INFINITY);
+        assert_eq!(Dbm(f64::NEG_INFINITY).to_milliwatts(), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "power must be non-negative")]
+    fn negative_milliwatts_panic() {
+        let _ = Dbm::from_milliwatts(-1.0e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "power must be non-negative")]
+    fn nan_milliwatts_panic() {
+        let _ = Dbm::from_milliwatts(f64::NAN);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! the cached hot path must be trace- and metrics-identical to the
 //! direct O(n) propagation fan-out it replaces.
 
-use wireless_networks::check::check_seed_opts;
+use wireless_networks::check::{check_seed_gen, ScenarioGen};
 use wireless_networks::mac80211::addr::MacAddr;
 use wireless_networks::mac80211::frame::{DsBits, Frame, SequenceControl};
 use wireless_networks::mac80211::sim::{
@@ -89,8 +89,8 @@ fn cache_stays_coherent_under_random_mobility() {
 #[test]
 fn cached_and_direct_paths_fingerprint_identically() {
     for seed in 0..6u64 {
-        let cached = check_seed_opts(seed, true);
-        let direct = check_seed_opts(seed, false);
+        let cached = check_seed_gen(&ScenarioGen::default(), seed, true);
+        let direct = check_seed_gen(&ScenarioGen::default(), seed, false);
         assert_eq!(
             (cached.events, cached.trace_fnv, cached.metrics_fnv),
             (direct.events, direct.trace_fnv, direct.metrics_fnv),
