@@ -20,14 +20,17 @@
 //! - `--threads T` — worker count for range runs (default: `WN_THREADS`
 //!   env var, else detected parallelism).
 //! - `--cache-diff` — differential propagation mode: replay every seed
-//!   with the neighbor cache on and off and fail unless the trace and
-//!   metrics fingerprints are byte-identical (the equivalence contract
-//!   of the cached hot path, including under ESS mobility). Two fixed
-//!   legs follow: the multi-cell line worlds (traffic spanning several
-//!   grid neighborhoods, cached vs direct, byte-identical trace and
-//!   metrics), and a multi-cell CITY-DCF street grid planned through
-//!   both `shard_plan` and `shard_plan_exhaustive`, demanding identical
-//!   partitions, lookaheads and clean re-validation verdicts.
+//!   on the cached path and on the direct reference (the same
+//!   log-distance model reinstalled through `set_loss_model`, which
+//!   evaluates every row per transmission) and fail unless the trace
+//!   and metrics fingerprints are byte-identical (the equivalence
+//!   contract of the cached hot path, including under ESS mobility).
+//!   Two fixed legs follow: the multi-cell line worlds (traffic
+//!   spanning several grid neighborhoods, cached vs direct,
+//!   byte-identical trace and metrics), and a multi-cell CITY-DCF
+//!   street grid planned through both `shard_plan` and
+//!   `shard_plan_exhaustive`, demanding identical partitions,
+//!   lookaheads and clean re-validation verdicts.
 //! - `--shard-diff` — differential sharding mode: partition every
 //!   seed's deployment into interference shards and run the
 //!   composition through the component executor at 1 worker and again
@@ -39,7 +42,7 @@
 //! - `--qos` — the EDCA/A-MPDU corpus (DESIGN.md §16): every seed maps
 //!   to a QoS WLAN world (mixed-AC traffic, aggregation on/off, OBSS
 //!   twin cells), each run oracle-checked (scheduler order included)
-//!   and replayed with the neighbor cache off and through the
+//!   and replayed on the direct propagation reference and through the
 //!   component executor at 1 vs 2 and 4 workers, demanding
 //!   byte-identical fingerprints throughout. The leg then
 //!   runs two gates: the AIFSN-swap fail-point self-test (the planted
@@ -160,7 +163,7 @@ fn report_failure_gen(
     for v in violations {
         println!("  {v}");
     }
-    println!("  repro: {}", repro_command(seed));
+    println!("  repro: {}", repro_command(gen, seed));
     if do_shrink {
         let sc = gen.scenario(seed);
         let still_fails = |c: &wn_check::Scenario| !run::check_scenario(c).is_empty();
@@ -176,8 +179,8 @@ fn report_failure_gen(
     }
 }
 
-/// Differential propagation mode: the same seed range with the
-/// neighbor cache on vs off, seed by seed, demanding identical
+/// Differential propagation mode: the same seed range on the cached
+/// path vs the direct reference, seed by seed, demanding identical
 /// fingerprints, then the fixed multi-cell legs (line-world traffic
 /// cached vs direct, CITY-DCF planning grid vs exhaustive). Returns
 /// the number of disagreeing or violating seeds and legs.
@@ -200,7 +203,7 @@ fn run_cache_diff(opts: &Options) -> u64 {
                 "seed {}: NEIGHBOR-CACHE DIVERGENCE  {}\n  cached: events={} trace_fnv={:016x} metrics_fnv={:016x}\n  direct: events={} trace_fnv={:016x} metrics_fnv={:016x}",
                 c.seed, c.summary, c.events, c.trace_fnv, c.metrics_fnv, d.events, d.trace_fnv, d.metrics_fnv
             );
-            println!("  repro: {} --cache-diff", repro_command(c.seed));
+            println!("  repro: {} --cache-diff", repro_command(&classic, c.seed));
         }
         if !c.violations.is_empty() {
             failures += 1;
@@ -289,10 +292,10 @@ fn print_worker_divergence(reference: &ShardRunReport, parallel: &[(usize, Shard
     }
 }
 
-/// Prints one failing shard differential: the 1-worker
-/// reference digests against every diverging multi-worker execution,
-/// plus any partition-soundness failure.
-fn report_shard_divergence(r: &ShardDiffReport) {
+/// Prints one failing shard differential of `gen`'s corpus: the
+/// 1-worker reference digests against every diverging multi-worker
+/// execution, plus any partition-soundness failure.
+fn report_shard_divergence(gen: &ScenarioGen, r: &ShardDiffReport) {
     println!(
         "seed {}: SHARD DIVERGENCE  {} ({} shards)",
         r.seed, r.summary, r.shards
@@ -301,7 +304,9 @@ fn report_shard_divergence(r: &ShardDiffReport) {
         println!("  plan incoherent: {why}");
     }
     print_worker_divergence(&r.reference, &r.parallel);
-    println!("  repro: {} --shard-diff", repro_command(r.seed));
+    // `--qos` already replays its corpus through the shard executor.
+    let mode = if gen.qos { "" } else { " --shard-diff" };
+    println!("  repro: {}{mode}", repro_command(gen, r.seed));
 }
 
 /// Differential sharding mode: every seed's deployment partitioned and
@@ -316,7 +321,7 @@ fn run_shard_diff(opts: &Options) -> u64 {
             None => println!("seed {seed}: skip (single component or no shared medium)"),
             Some(r) if r.divergent() => {
                 failures += 1;
-                report_shard_divergence(&r);
+                report_shard_divergence(&ScenarioGen::default(), &r);
             }
             Some(r) => println!(
                 "seed {seed}: ok  {} ({} shards, {} events, trace_fnv={:016x})",
@@ -342,7 +347,7 @@ fn run_shard_diff(opts: &Options) -> u64 {
                 }
                 if r.divergent() {
                     failures += 1;
-                    report_shard_divergence(r);
+                    report_shard_divergence(&ScenarioGen::default(), r);
                 }
             }
         }
@@ -383,7 +388,7 @@ fn run_shard_diff(opts: &Options) -> u64 {
 }
 
 /// The QoS corpus leg: oracle-checked EDCA/A-MPDU worlds (scheduler
-/// order included) across the neighbor cache on/off and the component
+/// order included) across cached vs direct propagation and the component
 /// executor at 1 vs 2 and 4 workers, then the AIFSN-swap self-test and
 /// the two corpus-digest gates. Returns the number of failures.
 fn run_qos(opts: &Options) -> u64 {
@@ -404,7 +409,7 @@ fn run_qos(opts: &Options) -> u64 {
         }
     }
 
-    // Leg 2: the cached propagation path against the direct one.
+    // Leg 2: the cached propagation path against the direct reference.
     let direct = check_range_gen(gen, start, count, opts.threads, false);
     for (c, d) in cached.iter().zip(&direct) {
         if c.events != d.events || c.trace_fnv != d.trace_fnv || c.metrics_fnv != d.metrics_fnv {
@@ -413,6 +418,7 @@ fn run_qos(opts: &Options) -> u64 {
                 "seed {}: NEIGHBOR-CACHE DIVERGENCE (qos)  {}\n  cached: events={} trace_fnv={:016x} metrics_fnv={:016x}\n  direct: events={} trace_fnv={:016x} metrics_fnv={:016x}",
                 c.seed, c.summary, c.events, c.trace_fnv, c.metrics_fnv, d.events, d.trace_fnv, d.metrics_fnv
             );
+            println!("  repro: {}", repro_command(&gen, c.seed));
         }
     }
 
@@ -427,7 +433,7 @@ fn run_qos(opts: &Options) -> u64 {
         }
         if r.divergent() {
             failures += 1;
-            report_shard_divergence(r);
+            report_shard_divergence(&gen, r);
         }
     }
 

@@ -17,9 +17,11 @@
 //!
 //! A final pair of sections benchmarks the hot paths in isolation on
 //! the SCALE-DCF saturation workload: `neighbors` times the cached
-//! propagation path against the direct O(n) fan-out at 100 and 1000
-//! stations, alternating over several repeats (median and min/max;
-//! digests must match bit-for-bit in every run), and `scheduler` replays
+//! propagation path against the direct O(n) fan-out (the same
+//! log-distance model reinstalled through `set_loss_model`, which
+//! evaluates every row per transmission) at 100 and 1000 stations,
+//! alternating over several repeats (median and min/max; digests must
+//! match bit-for-bit in every run), and `scheduler` replays
 //! the recorded push/pop op stream of a 1000-station run payload-free
 //! through the timer wheel and the reference binary heap, alternating
 //! over several repeats (median and min/max) — the isolated queue
@@ -59,7 +61,8 @@ use std::time::Instant;
 use wn_core::runner;
 use wn_core::scenarios::{
     city_dcf_run, city_dcf_size, dense_obss_point_opts, metro_dcf_planning_world, metro_dcf_sweep,
-    scale_dcf_op_log, scale_dcf_point_opts, DenseObssPoint, CITY_DCF_RANGE_M, DENSE_OBSS_MIX,
+    scale_dcf_op_log, scale_dcf_run, scale_dcf_sim, DenseObssPoint, CITY_DCF_RANGE_M,
+    DENSE_OBSS_MIX,
 };
 use wn_phy::propagation::{LogDistance, PathLoss};
 use wn_sim::{
@@ -469,7 +472,9 @@ fn qos_section() -> String {
 }
 
 /// Benchmarks the neighbor-cache hot path against the direct O(n)
-/// propagation fan-out on SCALE-DCF at 100 and 1000 stations and
+/// propagation fan-out on SCALE-DCF at 100 and 1000 stations — the
+/// direct side reinstalls the same log-distance model through
+/// `set_loss_model` ([`wn_check::use_direct_propagation`]) — and
 /// returns the `"neighbors"` JSON object (indented two spaces,
 /// trailing newline). The two paths alternate over `REPEATS` runs
 /// each (median, min/max). Panics unless every cached and direct run
@@ -488,7 +493,11 @@ fn neighbors_section() -> String {
             for (cache, wall_v) in [true, false].into_iter().zip(walls.iter_mut()) {
                 let label = if cache { "cached" } else { "direct" };
                 let t0 = Instant::now();
-                let p = scale_dcf_point_opts(stations, DURATION_MS, SEED, cache);
+                let mut sim = scale_dcf_sim(stations, DURATION_MS, SEED);
+                if !cache {
+                    wn_check::use_direct_propagation(sim.world_mut());
+                }
+                let p = scale_dcf_run(sim, DURATION_MS);
                 let wall = t0.elapsed().as_secs_f64();
                 eprintln!(
                     "perfsuite: SCALE-DCF n={stations} dur={DURATION_MS}ms {label} propagation, run {rep}/{REPEATS}: {wall:.3} s ({:.0} ev/s)",
@@ -516,7 +525,7 @@ fn neighbors_section() -> String {
     }
 
     let mut out = format!(
-        "  \"neighbors\": {{\n    \"workload\": \"SCALE-DCF duration_ms={DURATION_MS} seed={SEED}, cached vs direct propagation, {REPEATS} alternating repeats each\",\n    \"repeats\": {REPEATS},\n"
+        "  \"neighbors\": {{\n    \"workload\": \"SCALE-DCF duration_ms={DURATION_MS} seed={SEED}, cached vs direct propagation (set_loss_model), {REPEATS} alternating repeats each\",\n    \"repeats\": {REPEATS},\n"
     );
     for (i, (stations, cached, direct, (events, fnv), speedup)) in rows.iter().enumerate() {
         let sep = if i + 1 < rows.len() { "," } else { "" };

@@ -41,7 +41,8 @@ pub mod shrink;
 pub use oracle::{oracles, Invariant, Violation};
 pub use run::{
     check_range, check_range_gen, check_seed, check_seed_gen, line_world_run, range_digest,
-    run_oracles, run_scenario, run_scenario_opts, LineRun, SeedReport, LINE_WORLD_SPACINGS,
+    run_oracles, run_scenario, run_scenario_opts, use_direct_propagation, LineRun, SeedReport,
+    LINE_WORLD_SPACINGS,
 };
 pub use scenario::{Scenario, ScenarioGen, ScenarioKind};
 pub use shard::{
@@ -50,7 +51,26 @@ pub use shard::{
 };
 pub use shrink::{shrink, station_count};
 
-/// The one-line command that replays and minimises a failing seed.
-pub fn repro_command(seed: u64) -> String {
-    format!("cargo run --release -p wn-bench --bin fuzz -- --seed {seed} --shrink")
+/// The one-line command that replays and minimises a failing seed of
+/// `gen`'s corpus: the QoS corpus is only reachable through `--qos`.
+pub fn repro_command(gen: &ScenarioGen, seed: u64) -> String {
+    let corpus = if gen.qos { " --qos" } else { "" };
+    format!("cargo run --release -p wn-bench --bin fuzz --{corpus} --seed {seed} --shrink")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn repro_command_names_the_corpus() {
+        assert_eq!(
+            repro_command(&ScenarioGen::default(), 7),
+            "cargo run --release -p wn-bench --bin fuzz -- --seed 7 --shrink"
+        );
+        assert_eq!(
+            repro_command(&ScenarioGen::with_qos(), 7),
+            "cargo run --release -p wn-bench --bin fuzz -- --qos --seed 7 --shrink"
+        );
+    }
 }

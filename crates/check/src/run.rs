@@ -28,6 +28,7 @@ use wn_net80211::sta::StaConfig;
 use wn_net80211::Ssid;
 use wn_phy::geom::Point;
 use wn_phy::modulation::PhyStandard;
+use wn_phy::propagation::{LogDistance, PathLoss};
 use wn_phy::units::Dbm;
 use wn_sim::par::par_map_with;
 use wn_sim::stats::fnv1a;
@@ -192,15 +193,15 @@ pub fn run_scenario(sc: &Scenario) -> Artifacts {
     run_scenario_opts(sc, true)
 }
 
-/// Runs one scenario with an explicit neighbor-cache switch. The
-/// cached and direct propagation paths must be byte-identical — the
-/// `--cache-diff` fuzz mode replays the same seed through both and
-/// demands identical fingerprints. Non-WLAN worlds have no such cache;
-/// the flag is ignored for them.
-pub fn run_scenario_opts(sc: &Scenario, neighbor_cache: bool) -> Artifacts {
+/// Runs one scenario on the cached propagation path (`cached`) or on
+/// the per-transmission reference ([`use_direct_propagation`]). The
+/// two must be byte-identical — the `--cache-diff` fuzz mode replays
+/// the same seed through both and demands identical fingerprints.
+/// Non-WLAN worlds have no such cache; the flag is ignored for them.
+pub fn run_scenario_opts(sc: &Scenario, cached: bool) -> Artifacts {
     match &sc.kind {
-        ScenarioKind::Wlan(w) => run_wlan(sc.seed, w, neighbor_cache),
-        ScenarioKind::Ess(e) => run_ess(sc.seed, e, neighbor_cache),
+        ScenarioKind::Wlan(w) => run_wlan(sc.seed, w, cached),
+        ScenarioKind::Ess(e) => run_ess(sc.seed, e, cached),
         ScenarioKind::Bluetooth(b) => run_bt(b),
         ScenarioKind::Zigbee(z) => run_zigbee(sc.seed, z),
         ScenarioKind::Wman(w) => run_wman(w),
@@ -327,10 +328,22 @@ pub(crate) fn wlan_ac_of(g: usize, k: u64) -> AccessCategory {
     AccessCategory::from_index((g + k as usize) % 4).expect("4 ACs")
 }
 
-fn run_wlan(seed: u64, w: &WlanScenario, neighbor_cache: bool) -> Artifacts {
+/// Puts `world` on the per-transmission propagation path: its built-in
+/// indoor log-distance model, reinstalled through
+/// [`WlanWorld::set_loss_model`]. That is the time-varying contract,
+/// which never memoizes, so every transmission evaluates its row
+/// fresh — the reference the cached default is compared against.
+pub fn use_direct_propagation(world: &mut WlanWorld) {
+    let model = LogDistance::indoor();
+    world.set_loss_model(Box::new(move |a, b, f, _| model.loss(a.distance_to(b), f)));
+}
+
+fn run_wlan(seed: u64, w: &WlanScenario, cached: bool) -> Artifacts {
     let delivered = Arc::new(Mutex::new(Vec::new()));
     let mut world = WlanWorld::new(wlan_config(seed, w));
-    world.set_neighbor_cache(neighbor_cache);
+    if !cached {
+        use_direct_propagation(&mut world);
+    }
     world.trace = Trace::new(TRACE_CAPACITY);
     for i in 0..w.total_stations() {
         world.add_station(
@@ -413,18 +426,12 @@ fn run_wlan(seed: u64, w: &WlanScenario, neighbor_cache: bool) -> Artifacts {
 /// harness (an ESS is always a single shard: scanning and roaming
 /// switch channels mid-run, which collapses any static conflict-graph
 /// partition, so the whole ESS advances as one component).
-pub(crate) fn build_ess_sim(
-    seed: u64,
-    e: &EssScenario,
-    neighbor_cache: bool,
-) -> Simulation<WlanWorld> {
+pub(crate) fn build_ess_sim(seed: u64, e: &EssScenario, cached: bool) -> Simulation<WlanWorld> {
     let ssid = Ssid::new("Fuzz").expect("valid ssid");
     let mut mac = MacConfig::new(wn_phy::modulation::PhyStandard::Dot11g);
     mac.seed = seed;
     let channels: Vec<u8> = if e.aps == 2 { vec![1, 6] } else { vec![1] };
-    let mut builder = EssBuilder::new(mac, ssid.clone())
-        .neighbor_cache(neighbor_cache)
-        .ap(Point::new(0.0, 0.0), 1);
+    let mut builder = EssBuilder::new(mac, ssid.clone()).ap(Point::new(0.0, 0.0), 1);
     if e.aps == 2 {
         builder = builder.ap(Point::new(e.ap_spacing_m, 0.0), 6);
     }
@@ -440,6 +447,9 @@ pub(crate) fn build_ess_sim(
     }
     let mut ess = builder.build();
     ess.sim.world_mut().trace = Trace::new(TRACE_CAPACITY);
+    if !cached {
+        use_direct_propagation(ess.sim.world_mut());
+    }
 
     if e.walker && !e.sta_power_save.is_empty() {
         schedule_walk(
@@ -455,8 +465,8 @@ pub(crate) fn build_ess_sim(
     ess.sim
 }
 
-fn run_ess(seed: u64, e: &EssScenario, neighbor_cache: bool) -> Artifacts {
-    let mut sim = build_ess_sim(seed, e, neighbor_cache);
+fn run_ess(seed: u64, e: &EssScenario, cached: bool) -> Artifacts {
+    let mut sim = build_ess_sim(seed, e, cached);
     // The build already booted the world; the log opens with those
     // pending keys.
     sim.scheduler_mut().record_ops();
@@ -713,12 +723,13 @@ pub fn check_seed(seed: u64) -> SeedReport {
     check_seed_gen(&ScenarioGen::default(), seed, true)
 }
 
-/// [`check_seed`] under an explicit scenario generator and
-/// neighbor-cache switch — how the `--qos` corpus, the cache
-/// differential and the fail-point self-tests run seeds.
-pub fn check_seed_gen(gen: &ScenarioGen, seed: u64, neighbor_cache: bool) -> SeedReport {
+/// [`check_seed`] under an explicit scenario generator, on the cached
+/// or the reference propagation path (see [`run_scenario_opts`]) — how
+/// the `--qos` corpus, the cache differential and the fail-point
+/// self-tests run seeds.
+pub fn check_seed_gen(gen: &ScenarioGen, seed: u64, cached: bool) -> SeedReport {
     let sc = gen.scenario(seed);
-    let art = run_scenario_opts(&sc, neighbor_cache);
+    let art = run_scenario_opts(&sc, cached);
     let violations = run_oracles(&art);
     SeedReport {
         seed,
@@ -740,18 +751,18 @@ pub fn check_range(start: u64, count: u64, threads: usize) -> Vec<SeedReport> {
     check_range_gen(ScenarioGen::default(), start, count, threads, true)
 }
 
-/// [`check_range`] under an explicit scenario generator and
-/// neighbor-cache switch.
+/// [`check_range`] under an explicit scenario generator, on the
+/// cached or the reference propagation path.
 pub fn check_range_gen(
     gen: ScenarioGen,
     start: u64,
     count: u64,
     threads: usize,
-    neighbor_cache: bool,
+    cached: bool,
 ) -> Vec<SeedReport> {
     let seeds: Vec<u64> = (start..start + count).collect();
     par_map_with(threads, seeds, move |seed| {
-        check_seed_gen(&gen, seed, neighbor_cache)
+        check_seed_gen(&gen, seed, cached)
     })
 }
 
@@ -780,8 +791,8 @@ pub fn range_digest(gen: ScenarioGen, start: u64, count: u64, threads: usize) ->
 /// grid cells apart (2.2×).
 pub const LINE_WORLD_SPACINGS: [f64; 4] = [0.6, 1.1, 1.6, 2.2];
 
-/// One multi-cell line-world run: what the cached and direct
-/// propagation paths must agree on byte for byte.
+/// One multi-cell line-world run: what the cached propagation path and
+/// the per-transmission reference must agree on byte for byte.
 pub struct LineRun {
     /// Events the engine processed.
     pub processed: u64,
@@ -792,7 +803,7 @@ pub struct LineRun {
     /// Station count.
     pub stations: usize,
     /// `(grid-indexed, stored pairs)` of the neighbor cache, `None`
-    /// on the direct path.
+    /// on the reference path.
     pub cache: Option<(bool, usize)>,
 }
 
@@ -802,8 +813,9 @@ pub struct LineRun {
 /// for 200 ms (Dot11g, seed 3). From about 1× spacing on, stations
 /// fall out of each other's grid neighborhoods yet can still
 /// interfere above the noise floor — the terms the interference sum
-/// fills in on demand.
-pub fn line_world_run(spacing: f64, neighbor_cache: bool) -> LineRun {
+/// fills in on demand. `cached` false runs the same world on the
+/// reference path ([`use_direct_propagation`]).
+pub fn line_world_run(spacing: f64, cached: bool) -> LineRun {
     const PAIRS: usize = 8;
     const HORIZON_US: u64 = 200_000;
     let mut cfg = MacConfig::new(PhyStandard::Dot11g);
@@ -816,7 +828,9 @@ pub fn line_world_run(spacing: f64, neighbor_cache: bool) -> LineRun {
             .expect("log-distance reach is finite")
     };
     let mut world = WlanWorld::new(cfg);
-    world.set_neighbor_cache(neighbor_cache);
+    if !cached {
+        use_direct_propagation(&mut world);
+    }
     world.trace = Trace::new(TRACE_CAPACITY);
     world.add_stations(
         2 * PAIRS,

@@ -78,7 +78,6 @@ fn build_wlan_component(
     cfg.seed = component_seed(seed, k);
     let delivered = Arc::new(Mutex::new(Vec::new()));
     let mut world = WlanWorld::new(cfg);
-    world.set_neighbor_cache(true);
     world.trace = Trace::new(TRACE_CAPACITY);
     for &g in members {
         world.add_station(

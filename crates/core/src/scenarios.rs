@@ -12,8 +12,7 @@ use wn_mac80211::shard::{
     component_seed, propagation_delay, run_components, ShardPlan, ShardRunReport,
 };
 use wn_mac80211::sim::{
-    boot, inject_at, neighbor_cache_default, qos_inject_at, AccessCategory, MacConfig, NullUpper,
-    WlanWorld,
+    boot, inject_at, qos_inject_at, AccessCategory, MacConfig, NullUpper, WlanWorld,
 };
 use wn_net80211::builder::{ibss_send, schedule_walk, send_app_data, EssBuilder, IbssBuilder};
 use wn_net80211::ssid::Ssid;
@@ -1462,18 +1461,11 @@ pub struct ScaleDcfPoint {
 /// whole backlog pre-scheduled as `Inject` timers spread over the first
 /// 90% of the horizon — so the scheduler carries tens of thousands of
 /// pending timers for the entire run, the dense-timer regime calendar
-/// queues were built for. The neighbor cache is switched explicitly —
-/// the lever the perfsuite `neighbors` section and the
-/// cache-equivalence checks use to time and compare the two
-/// propagation paths.
-pub fn scale_dcf_sim_opts(
-    stations: usize,
-    duration_ms: u64,
-    seed: u64,
-    neighbor_cache: bool,
-) -> Simulation<WlanWorld> {
-    let (mut world, frames_per_sender) = scale_dcf_world(stations, duration_ms, seed);
-    world.set_neighbor_cache(neighbor_cache);
+/// queues were built for. Nothing has run yet, so a caller may still
+/// replace the loss model — how the perfsuite `neighbors` section
+/// reaches the per-transmission propagation path.
+pub fn scale_dcf_sim(stations: usize, duration_ms: u64, seed: u64) -> Simulation<WlanWorld> {
+    let (world, frames_per_sender) = scale_dcf_world(stations, duration_ms, seed);
     let mut sim = Simulation::new(world);
     scale_dcf_load(&mut sim, stations, duration_ms, frames_per_sender);
     sim
@@ -1551,21 +1543,15 @@ pub fn scale_dcf_op_log(stations: usize, duration_ms: u64, seed: u64) -> (Vec<u1
 }
 
 /// Runs one saturated-BSS point and reduces it to throughput, fairness,
-/// delay and digest observables. The world follows the process-wide
-/// neighbor-cache default, so `report --no-neighbor-cache` runs it on
-/// the direct path.
+/// delay and digest observables.
 pub fn scale_dcf_point(stations: usize, duration_ms: u64, seed: u64) -> ScaleDcfPoint {
-    scale_dcf_point_opts(stations, duration_ms, seed, neighbor_cache_default())
+    scale_dcf_run(scale_dcf_sim(stations, duration_ms, seed), duration_ms)
 }
 
-/// [`scale_dcf_point`] with the neighbor cache forced on or off.
-pub fn scale_dcf_point_opts(
-    stations: usize,
-    duration_ms: u64,
-    seed: u64,
-    neighbor_cache: bool,
-) -> ScaleDcfPoint {
-    let mut sim = scale_dcf_sim_opts(stations, duration_ms, seed, neighbor_cache);
+/// Runs a [`scale_dcf_sim`] simulation to its `duration_ms` horizon
+/// and reduces it to a [`ScaleDcfPoint`].
+pub fn scale_dcf_run(mut sim: Simulation<WlanWorld>, duration_ms: u64) -> ScaleDcfPoint {
+    let stations = sim.world().station_count() - 1;
     let end = SimTime::from_millis(duration_ms);
     sim.run_until(end);
 
@@ -2195,10 +2181,6 @@ pub fn metro_dcf_point(
     let mut planning = metro_dcf_planning_world(rows, cols, senders, duration_ms, seed);
 
     let (build_ms, stored_entries, grid_coherent) = if n <= METRO_DCF_BUILD_CAP {
-        // The storage row measures the cache representation, so it
-        // primes a cache whatever the process-wide default; the
-        // component worlds still follow that default.
-        planning.set_neighbor_cache(true);
         let t0 = std::time::Instant::now();
         planning.prime_neighbor_cache(SimTime::ZERO);
         let build_ms = t0.elapsed().as_secs_f64() * 1e3;

@@ -30,6 +30,6 @@ pub use addr::MacAddr;
 pub use arena::{FrameArena, FrameId};
 pub use frame::{DsBits, Frame, FrameControl, FrameType, SequenceControl, Subtype};
 pub use sim::{
-    boot, inject_at, neighbor_cache_default, qos_inject_at, set_neighbor_cache_default,
-    AccessCategory, Command, MacConfig, MacEvent, StationId, UpperCtx, UpperLayer, WlanWorld,
+    boot, inject_at, qos_inject_at, AccessCategory, Command, MacConfig, MacEvent, StationId,
+    UpperCtx, UpperLayer, WlanWorld,
 };

@@ -27,7 +27,9 @@
 //!   visits exactly the stations the old 0..n scan would have acted
 //!   on, in the same order.
 //!
-//! Equivalence with the uncached path is load-bearing: audibility here
+//! Equivalence with the per-transmission path (a time-varying loss
+//! model evaluates every row fresh, over every other station, with the
+//! same [`NeighborCache::evaluate_row`]) is load-bearing: audibility here
 //! is *raw* co-channel power against the CS threshold, a superset of
 //! what any receiver on an overlapping channel can hear after the
 //! spectral-mask discount, so per-member awake/channel/leak checks in
@@ -50,88 +52,57 @@ use wn_phy::units::Dbm;
 /// One transmitter's received-power row, as snapshotted by an
 /// in-flight transmission record.
 ///
-/// Cached rows store entries for their sorted keys only (self
+/// A row stores entries for its sorted keys only (the transmitter
 /// excluded), with the bit-exact linear-milliwatt mirror the
-/// interference sums use, and answer −∞ for everyone else — omitted
+/// interference sums use, and answers −∞ for everyone else — omitted
 /// stations are below the carrier-sense floor by grid construction.
-/// The uncached direct path carries a full row indexed by station id
-/// (with a +inf diagonal) and converts per entry exactly as the
-/// pre-cache code did.
-#[derive(Clone)]
-pub struct RxRow(Repr);
-
-#[derive(Clone)]
-enum Repr {
-    Keyed {
-        keys: Arc<Vec<StationId>>,
-        dbm: Arc<Vec<Dbm>>,
-        mw: Arc<Vec<f64>>,
-    },
-    Full(Arc<Vec<Dbm>>),
+/// Memoized rows and the rows a time-varying world evaluates per
+/// transmission (keyed by every other station) are the same type,
+/// built by the same [`NeighborCache::evaluate_row`].
+#[derive(Clone, Default)]
+pub struct RxRow {
+    keys: Arc<Vec<StationId>>,
+    dbm: Arc<Vec<Dbm>>,
+    mw: Arc<Vec<f64>>,
 }
 
 impl RxRow {
-    /// The direct path's full row: power at every station, by id.
-    pub fn full(dbm: Vec<Dbm>) -> Self {
-        RxRow(Repr::Full(Arc::new(dbm)))
-    }
-
-    /// Received power at `dst`; −∞ for entries a keyed row omits
-    /// (beyond the grid neighborhood, hence below the CS floor).
+    /// Received power at `dst`; −∞ for entries the row omits (beyond
+    /// the grid neighborhood, hence below the CS floor).
     pub fn get(&self, dst: StationId) -> Dbm {
-        match &self.0 {
-            Repr::Full(dbm) => dbm[dst],
-            Repr::Keyed { keys, dbm, .. } => match keys.binary_search(&dst) {
-                Ok(i) => dbm[i],
-                Err(_) => Dbm(f64::NEG_INFINITY),
-            },
+        match self.keys.binary_search(&dst) {
+            Ok(i) => self.dbm[i],
+            Err(_) => Dbm(f64::NEG_INFINITY),
         }
     }
 
     /// [`get`](Self::get) for ascending `dst` sequences: `cursor`
     /// (starting at 0 for each fresh sequence) advances monotonically
-    /// through a keyed row, making a whole candidates sweep O(k)
-    /// instead of O(c·log k). Full rows ignore the cursor.
+    /// through the keys, making a whole candidates sweep O(k) instead
+    /// of O(c·log k).
     pub fn get_seq(&self, dst: StationId, cursor: &mut usize) -> Dbm {
-        match &self.0 {
-            Repr::Full(dbm) => dbm[dst],
-            Repr::Keyed { keys, dbm, .. } => {
-                if seek(keys, dst, cursor) {
-                    dbm[*cursor]
-                } else {
-                    Dbm(f64::NEG_INFINITY)
-                }
-            }
+        if seek(&self.keys, dst, cursor) {
+            self.dbm[*cursor]
+        } else {
+            Dbm(f64::NEG_INFINITY)
         }
     }
 
-    /// Adds this row's linear-milliwatt image into `acc`, every entry
-    /// discounted by `shift` dB for a fractional spectral overlap,
-    /// preserving the exact float semantics of the pre-cache code:
-    /// keyed rows add at their key slots, in ascending key order —
-    /// each slot receives at most one term per transmission, in the
-    /// same record order as before — from the memoized mirror at full
-    /// overlap; the direct path converts each dBm entry in place.
+    /// Adds this row's linear-milliwatt image into `acc` at its key
+    /// slots, in ascending key order — each slot receives at most one
+    /// term per transmission, in record order. At full overlap the
+    /// terms come from the memoized mirror; a fractional spectral
+    /// overlap discounts every dBm entry by `shift` dB and converts it.
     pub fn accumulate_mw(&self, shift: Option<f64>, acc: &mut [f64]) {
-        match (&self.0, shift) {
-            (Repr::Keyed { keys, mw, .. }, None) => {
-                for (&k, &m) in keys.iter().zip(mw.iter()) {
+        match shift {
+            None => {
+                for (&k, &m) in self.keys.iter().zip(self.mw.iter()) {
                     acc[k] += m;
                 }
             }
-            (Repr::Keyed { keys, dbm, .. }, Some(shift)) => {
-                for (&k, &p) in keys.iter().zip(dbm.iter()) {
+            Some(shift) => {
+                for (&k, &p) in self.keys.iter().zip(self.dbm.iter()) {
                     acc[k] += Dbm(p.value() + shift).to_milliwatts();
-                }
-            }
-            (Repr::Full(dbm), None) => {
-                for (a, p) in acc.iter_mut().zip(dbm.iter()) {
-                    *a += p.to_milliwatts();
-                }
-            }
-            (Repr::Full(dbm), Some(shift)) => {
-                for (a, p) in acc.iter_mut().zip(dbm.iter()) {
-                    *a += Dbm(p.value() + shift).to_milliwatts();
                 }
             }
         }
@@ -142,7 +113,7 @@ impl RxRow {
     /// transmitter `src`) that the row stores no entry for,
     /// `acc[dst] += term(dst)`. Called right after the row's own
     /// accumulate, so every slot still receives exactly one term per
-    /// record, in record order — the float sum the direct path
+    /// record, in record order — the float sum an every-station row
     /// computes. A row covering all `acc.len() − 1` other stations
     /// returns after one length comparison.
     pub fn fill_missing(
@@ -152,15 +123,12 @@ impl RxRow {
         acc: &mut [f64],
         mut term: impl FnMut(StationId) -> f64,
     ) {
-        let Repr::Keyed { keys, .. } = &self.0 else {
-            return;
-        };
-        if keys.len() + 1 >= acc.len() {
+        if self.keys.len() + 1 >= acc.len() {
             return;
         }
         let mut cursor = 0;
         for &dst in candidates {
-            if dst != src && !seek(keys, dst, &mut cursor) {
+            if dst != src && !seek(&self.keys, dst, &mut cursor) {
                 acc[dst] += term(dst);
             }
         }
@@ -178,23 +146,20 @@ fn seek(keys: &[StationId], dst: StationId, cursor: &mut usize) -> bool {
 
 /// Pairwise rx-power cache with per-transmitter audible-neighbor lists.
 ///
-/// `rows[src][i]` is the raw received power at `keys[src][i]` of a
-/// transmission from `src`, where `keys[src]` is the sorted
-/// neighborhood of `src` with `src` itself excluded — stations beyond
-/// the neighborhood are below the carrier-sense floor by construction
-/// and read back as −∞. `mw_rows` mirrors `rows` in linear milliwatts
-/// (`Dbm::to_milliwatts` of the same entry, bit for bit) — the
-/// interference sums in the reception path run in the linear domain,
-/// and memoizing the dB→mW conversion is where most of the
-/// transcendental math in a saturated cell goes. `audible[src]` lists
-/// every `dst != src` whose raw power meets the carrier-sense
-/// threshold, ascending; audible lists are always a subset of the
-/// stored keys.
+/// `rows[src]` is the [`RxRow`] of a transmission from `src`, keyed by
+/// the sorted neighborhood of `src` with `src` itself excluded —
+/// stations beyond the neighborhood are below the carrier-sense floor
+/// by construction and read back as −∞. Each row mirrors its dBm
+/// entries in linear milliwatts (`Dbm::to_milliwatts` of the same
+/// entry, bit for bit) — the interference sums in the reception path
+/// run in the linear domain, and memoizing the dB→mW conversion is
+/// where most of the transcendental math in a saturated cell goes.
+/// `audible[src]` lists every `dst != src` whose raw power meets the
+/// carrier-sense threshold, ascending; audible lists are always a
+/// subset of the row's keys.
 #[derive(Default)]
 pub struct NeighborCache {
-    keys: Vec<Arc<Vec<StationId>>>,
-    rows: Vec<Arc<Vec<Dbm>>>,
-    mw_rows: Vec<Arc<Vec<f64>>>,
+    rows: Vec<RxRow>,
     audible: Vec<Arc<Vec<StationId>>>,
 }
 
@@ -213,15 +178,13 @@ impl NeighborCache {
     /// Total stored pair entries — the sum of neighborhood sizes
     /// (n·(n−1) when every row covers the whole world).
     pub fn stored_entries(&self) -> usize {
-        self.keys.iter().map(|k| k.len()).sum()
+        self.rows.iter().map(|r| r.keys.len()).sum()
     }
 
     /// Drops all cached state (topology-shaping setup calls, e.g. a
     /// radio swap, call this; the next use rebuilds).
     pub fn clear(&mut self) {
-        self.keys.clear();
         self.rows.clear();
-        self.mw_rows.clear();
         self.audible.clear();
     }
 
@@ -240,9 +203,7 @@ impl NeighborCache {
         mut neighbors_of: impl FnMut(StationId, &mut Vec<StationId>),
     ) {
         self.clear();
-        self.keys.resize(n, Arc::default());
-        self.rows.resize(n, Arc::default());
-        self.mw_rows.resize(n, Arc::default());
+        self.rows.resize(n, RxRow::default());
         self.audible.resize(n, Arc::default());
         let mut scratch = Vec::new();
         for src in 0..n {
@@ -256,6 +217,37 @@ impl NeighborCache {
         }
     }
 
+    /// The one row evaluator, shared by the cache and by worlds that
+    /// evaluate rows per transmission: `src`'s powers at the ascending
+    /// `keys` (`src` itself skipped), their milliwatt mirror, and the
+    /// keys whose power meets `cs` — the audible list.
+    pub fn evaluate_row(
+        src: StationId,
+        cs: Dbm,
+        mut power: impl FnMut(StationId, StationId) -> Dbm,
+        keys: impl ExactSizeIterator<Item = StationId>,
+    ) -> (RxRow, Arc<Vec<StationId>>) {
+        let mut ks = Vec::with_capacity(keys.len());
+        let mut dbm = Vec::with_capacity(keys.len());
+        let mut mw = Vec::with_capacity(keys.len());
+        let mut aud = Vec::new();
+        for dst in keys.filter(|&dst| dst != src) {
+            let p = power(src, dst);
+            if p.value() >= cs.value() {
+                aud.push(dst);
+            }
+            ks.push(dst);
+            dbm.push(p);
+            mw.push(p.to_milliwatts());
+        }
+        let row = RxRow {
+            keys: Arc::new(ks),
+            dbm: Arc::new(dbm),
+            mw: Arc::new(mw),
+        };
+        (row, Arc::new(aud))
+    }
+
     /// Replaces `src`'s row and audible list with fresh evaluations
     /// over the sorted `keys` (`src` itself skipped).
     fn set_row(
@@ -265,23 +257,8 @@ impl NeighborCache {
         power: &mut impl FnMut(StationId, StationId) -> Dbm,
         keys: &[StationId],
     ) {
-        let mut ks = Vec::with_capacity(keys.len());
-        let mut row = Vec::with_capacity(keys.len());
-        let mut mw = Vec::with_capacity(keys.len());
-        let mut aud = Vec::new();
-        for &dst in keys.iter().filter(|&&dst| dst != src) {
-            let p = power(src, dst);
-            if p.value() >= cs.value() {
-                aud.push(dst);
-            }
-            ks.push(dst);
-            row.push(p);
-            mw.push(p.to_milliwatts());
-        }
-        self.keys[src] = Arc::new(ks);
-        self.rows[src] = Arc::new(row);
-        self.mw_rows[src] = Arc::new(mw);
-        self.audible[src] = Arc::new(aud);
+        (self.rows[src], self.audible[src]) =
+            Self::evaluate_row(src, cs, power, keys.iter().copied());
     }
 
     /// Mobility patch after station `id` moved (or changed its radio):
@@ -311,16 +288,17 @@ impl NeighborCache {
                 continue;
             }
             let p = power(src, id);
-            match self.keys[src].binary_search(&id) {
+            let row = &mut self.rows[src];
+            match row.keys.binary_search(&id) {
                 Ok(i) => {
                     // Entry exists: refresh the value in place.
-                    Arc::make_mut(&mut self.rows[src])[i] = p;
-                    Arc::make_mut(&mut self.mw_rows[src])[i] = p.to_milliwatts();
+                    Arc::make_mut(&mut row.dbm)[i] = p;
+                    Arc::make_mut(&mut row.mw)[i] = p.to_milliwatts();
                 }
                 Err(i) => {
-                    Arc::make_mut(&mut self.keys[src]).insert(i, id);
-                    Arc::make_mut(&mut self.rows[src]).insert(i, p);
-                    Arc::make_mut(&mut self.mw_rows[src]).insert(i, p.to_milliwatts());
+                    Arc::make_mut(&mut row.keys).insert(i, id);
+                    Arc::make_mut(&mut row.dbm).insert(i, p);
+                    Arc::make_mut(&mut row.mw).insert(i, p.to_milliwatts());
                 }
             }
             self.patch_audible(src, id, p.value() >= cs.value());
@@ -329,10 +307,11 @@ impl NeighborCache {
             if src == id {
                 continue;
             }
-            if let Ok(i) = self.keys[src].binary_search(&id) {
-                Arc::make_mut(&mut self.keys[src]).remove(i);
-                Arc::make_mut(&mut self.rows[src]).remove(i);
-                Arc::make_mut(&mut self.mw_rows[src]).remove(i);
+            let row = &mut self.rows[src];
+            if let Ok(i) = row.keys.binary_search(&id) {
+                Arc::make_mut(&mut row.keys).remove(i);
+                Arc::make_mut(&mut row.dbm).remove(i);
+                Arc::make_mut(&mut row.mw).remove(i);
             }
             self.patch_audible(src, id, false);
         }
@@ -353,11 +332,7 @@ impl NeighborCache {
 
     /// The cached power row for `src` (shared, copy-on-write).
     pub fn row(&self, src: StationId) -> RxRow {
-        RxRow(Repr::Keyed {
-            keys: Arc::clone(&self.keys[src]),
-            dbm: Arc::clone(&self.rows[src]),
-            mw: Arc::clone(&self.mw_rows[src]),
-        })
+        self.rows[src].clone()
     }
 
     /// The sorted audible-neighbor list for `src` (shared).
@@ -365,9 +340,10 @@ impl NeighborCache {
         Arc::clone(&self.audible[src])
     }
 
-    /// Verifies every cached entry (powers and audible lists) against
-    /// a fresh evaluation — the oracle behind the mobility-invalidation
-    /// property test and the grid-coherence fuzz oracle. An *absent*
+    /// Verifies every cached entry (powers, their milliwatt mirror and
+    /// audible lists) against a fresh evaluation — the oracle behind
+    /// the mobility-invalidation property test, the grid-coherence
+    /// fuzz oracle and the debug-build cache contract. An *absent*
     /// pair is coherent only if its fresh power is below `cs` (the
     /// grid's soundness claim) and it is not listed audible; such a
     /// violation reports the −∞ the row would answer. Returns the
@@ -379,13 +355,14 @@ impl NeighborCache {
     ) -> Option<(StationId, StationId, Dbm, Dbm)> {
         let n = self.rows.len();
         for src in 0..n {
+            let row = &self.rows[src];
             for dst in 0..n {
                 if dst == src {
                     continue;
                 }
                 let fresh = power(src, dst);
                 let listed = self.audible[src].binary_search(&dst).is_ok();
-                let Ok(i) = self.keys[src].binary_search(&dst) else {
+                let Ok(i) = row.keys.binary_search(&dst) else {
                     // Omitted by the grid: must be genuinely sub-CS.
                     if fresh.value() >= cs.value() || listed {
                         return Some((src, dst, Dbm(f64::NEG_INFINITY), fresh));
@@ -394,10 +371,10 @@ impl NeighborCache {
                 };
                 // The mw mirror must stay bit-identical to the dBm
                 // entry's conversion, not merely numerically close.
-                let cached = self.rows[src][i];
+                let cached = row.dbm[i];
                 if cached.value() != fresh.value()
                     || listed != (fresh.value() >= cs.value())
-                    || self.mw_rows[src][i].to_bits() != fresh.to_milliwatts().to_bits()
+                    || row.mw[i].to_bits() != fresh.to_milliwatts().to_bits()
                 {
                     return Some((src, dst, cached, fresh));
                 }
@@ -657,14 +634,14 @@ mod tests {
         // Station 3 is outside row 0's neighborhood: the row adds the
         // stored terms, the fill adds exactly the omitted candidate —
         // never the transmitter itself, never a stored slot twice —
-        // and the result is the full row's sum, bit for bit.
+        // and the result is the every-station row's sum, bit for bit.
         let xs = [0.0f64, 10.0, 20.0, 80.0];
         let cs = Dbm(-75.0);
         let mut c = NeighborCache::new();
         c.build(4, cs, power(&xs), |src, out| {
             out.extend((0..4).filter(|&d| (xs[src] - xs[d]).abs() <= 30.0))
         });
-        let full = RxRow::full((0..4).map(|d| power(&xs)(0, d)).collect());
+        let (full, _) = NeighborCache::evaluate_row(0, cs, power(&xs), 0..4);
         let candidates = [0usize, 1, 2, 3];
         let mut sparse = vec![0.0; 4];
         let row = c.row(0);

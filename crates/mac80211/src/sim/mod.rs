@@ -47,7 +47,6 @@
 //!   aggregation, per-MPDU reception and block-ack settlement.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::addr::MacAddr;
@@ -72,8 +71,6 @@ mod dcf;
 mod edca;
 mod plan;
 mod rx;
-
-use rx::ProbCache;
 
 /// Maps an 802.11 frame subtype onto the protocol-agnostic trace
 /// [`FrameKind`].
@@ -105,21 +102,20 @@ pub fn frame_kind(subtype: Subtype) -> FrameKind {
 /// Index of a station within a [`WlanWorld`].
 pub type StationId = usize;
 
-/// Process-wide default for the propagation neighbor cache of newly
-/// built worlds (on unless flipped). The cached and direct paths are
-/// byte-identical on static topologies — this switch exists so the
-/// perfsuite and the differential fuzz can time and compare them;
-/// per-world overrides go through [`WlanWorld::set_neighbor_cache`].
-static NEIGHBOR_CACHE_DEFAULT: AtomicBool = AtomicBool::new(true);
-
-/// Sets the process-wide neighbor-cache default for new worlds.
-pub fn set_neighbor_cache_default(on: bool) {
-    NEIGHBOR_CACHE_DEFAULT.store(on, Ordering::Relaxed);
-}
-
-/// The current process-wide neighbor-cache default.
-pub fn neighbor_cache_default() -> bool {
-    NEIGHBOR_CACHE_DEFAULT.load(Ordering::Relaxed)
+/// What the caller guarantees about a world's loss closure — the one
+/// selector between evaluating propagation per transmission and
+/// memoizing it in the neighbor cache.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum LossContract {
+    /// May depend on time (fading): every transmission evaluates its
+    /// row fresh, over every other station.
+    TimeVarying,
+    /// A pure function of geometry, possibly anisotropic (walls,
+    /// shadowing): rows are memoized, each over every other station.
+    Static,
+    /// A pure monotone function of the pair's distance: rows are
+    /// memoized over spatial-grid neighborhoods.
+    StaticIsotropic,
 }
 
 /// MAC-level configuration shared by all stations in the world.
@@ -799,23 +795,17 @@ pub struct WlanWorld {
     /// events (a term of the [`frame_ledger`](Self::frame_ledger)).
     staged: u64,
     /// Pairwise rx-power / audibility cache (built lazily at the first
-    /// transmission when `neighbor_cache` is on).
+    /// transmission unless the loss model is time-varying).
     neighbors: NeighborCache,
-    /// Whether this world memoizes propagation. Forced off by
-    /// [`set_loss_model`](Self::set_loss_model) (time-varying models
-    /// cannot be cached).
-    neighbor_cache: bool,
+    /// What the loss closure may be assumed to be; decides whether and
+    /// how propagation is memoized. Static isotropic for the built-in
+    /// log-distance model, replaced by every `set_loss_model*` call.
+    loss_contract: LossContract,
     /// The spatial hash grid backing the neighbor rows; alive exactly
     /// while the cache is built over grid neighborhoods (an isotropic
     /// loss model with a finite probed audible reach), kept in sync
     /// with station positions by [`set_position`](Self::set_position).
     grid: Option<SpatialGrid>,
-    /// Whether the loss closure is a pure monotone function of the
-    /// pair's distance — the precondition for probing the audible
-    /// reach along a single ray. True for the built-in log-distance
-    /// model; cleared by every loss-model replacement except
-    /// [`set_loss_model_static_isotropic`](Self::set_loss_model_static_isotropic).
-    loss_isotropic: bool,
     /// Reused scratch for grid neighborhood queries during mobility
     /// patches.
     hood_scratch: Vec<StationId>,
@@ -840,8 +830,6 @@ pub struct WlanWorld {
     /// Reused scratch for upper-layer command batches in
     /// [`with_upper`](Self::with_upper).
     cmd_scratch: Vec<Command>,
-    /// `success_prob` memo (see [`ProbCache`]).
-    prob_cache: ProbCache,
     next_tx_id: u64,
     rng: Rng,
     /// Protocol trace for tests and debugging.
@@ -887,9 +875,8 @@ impl WlanWorld {
             frames: FrameArena::new(),
             staged: 0,
             neighbors: NeighborCache::new(),
-            neighbor_cache: neighbor_cache_default(),
+            loss_contract: LossContract::StaticIsotropic,
             grid: None,
-            loss_isotropic: true,
             hood_scratch: Vec::new(),
             contenders: IdBitSet::new(),
             rearm_scratch: Vec::new(),
@@ -898,7 +885,6 @@ impl WlanWorld {
             decoded_scratch: Vec::new(),
             overlap_scratch: Vec::new(),
             cmd_scratch: Vec::new(),
-            prob_cache: ProbCache::default(),
             next_tx_id: 0,
             rng,
             trace: Trace::new(8192),
@@ -928,13 +914,12 @@ impl WlanWorld {
 
     /// Replaces the propagation model (position- and time-aware; the
     /// time argument enables fading models). A time-varying loss
-    /// cannot be memoized, so this also disables the neighbor cache;
-    /// models that ignore the time argument should go through
+    /// cannot be memoized, so every transmission evaluates its row
+    /// fresh; models that ignore the time argument should go through
     /// [`set_loss_model_static`](Self::set_loss_model_static) instead.
     pub fn set_loss_model(&mut self, loss: Box<dyn Fn(Point, Point, Hertz, SimTime) -> Db + Send>) {
         self.loss = loss;
-        self.neighbor_cache = false;
-        self.loss_isotropic = false;
+        self.loss_contract = LossContract::TimeVarying;
         self.invalidate_neighbors();
     }
 
@@ -949,7 +934,7 @@ impl WlanWorld {
         loss: Box<dyn Fn(Point, Point, Hertz, SimTime) -> Db + Send>,
     ) {
         self.loss = loss;
-        self.loss_isotropic = false;
+        self.loss_contract = LossContract::Static;
         self.invalidate_neighbors();
     }
 
@@ -963,31 +948,14 @@ impl WlanWorld {
         loss: Box<dyn Fn(Point, Point, Hertz, SimTime) -> Db + Send>,
     ) {
         self.loss = loss;
-        self.loss_isotropic = true;
+        self.loss_contract = LossContract::StaticIsotropic;
         self.invalidate_neighbors();
     }
 
-    /// Enables or disables the propagation neighbor cache for this
-    /// world, overriding the process default
-    /// ([`set_neighbor_cache_default`]). The cache assumes the loss
-    /// model is time-invariant; enabling it under a fading model set
-    /// via [`set_loss_model`](Self::set_loss_model) is unsound.
-    pub fn set_neighbor_cache(&mut self, on: bool) {
-        self.neighbor_cache = on;
-        if !on {
-            self.invalidate_neighbors();
-        }
-    }
-
-    /// The live spatial grid (present only while the neighbor cache is
-    /// built over grid neighborhoods). Test and oracle hook.
-    pub fn spatial_grid(&self) -> Option<&SpatialGrid> {
-        self.grid.as_ref()
-    }
-
-    /// Whether this world memoizes propagation.
+    /// Whether this world memoizes propagation (every loss model but a
+    /// time-varying one).
     pub fn neighbor_cache_enabled(&self) -> bool {
-        self.neighbor_cache
+        self.loss_contract != LossContract::TimeVarying
     }
 
     /// The propagation neighbor cache (empty until primed or first

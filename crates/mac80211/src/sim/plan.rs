@@ -5,9 +5,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use super::{StationId, WlanWorld};
+use super::{LossContract, StationId, WlanWorld};
 use crate::grid::SpatialGrid;
-use crate::neighbors::RxRow;
+use crate::neighbors::{NeighborCache, RxRow};
 use wn_phy::geom::Point;
 use wn_phy::medium::coupled_rx_power;
 use wn_phy::units::Dbm;
@@ -40,7 +40,7 @@ impl WlanWorld {
     /// reach exceeds the probe horizon — callers must then fall back
     /// to exhaustive scans.
     pub fn audible_reach_m(&self, now: SimTime) -> Option<f64> {
-        if !self.loss_isotropic || self.stations.is_empty() {
+        if self.loss_contract != LossContract::StaticIsotropic || self.stations.is_empty() {
             return None;
         }
         let mut eirp = f64::NEG_INFINITY;
@@ -94,7 +94,10 @@ impl WlanWorld {
     /// Builds the neighbor cache if it is not current (it is
     /// otherwise built lazily at the first transmission): rows over
     /// 27-cell grid neighborhoods when the grid is eligible — O(n·k) —
-    /// rows over every other station otherwise.
+    /// rows over every other station otherwise. Debug builds check the
+    /// fresh cache against a per-pair evaluation (rows, milliwatt
+    /// mirror and audible lists: the only inputs in which the memoized
+    /// and per-transmission paths can differ).
     fn ensure_neighbors(&mut self, now: SimTime) {
         if self.neighbors.is_built() {
             return;
@@ -113,12 +116,17 @@ impl WlanWorld {
         );
         self.grid = grid;
         self.neighbors = cache;
+        debug_assert_eq!(
+            self.neighbor_cache_incoherence(now),
+            None,
+            "neighbor cache build diverged from a fresh evaluation"
+        );
     }
 
-    /// Forces the lazy neighbor-cache build now; no-op when the cache
-    /// is disabled. Test/bench hook.
+    /// Forces the lazy neighbor-cache build now; no-op under a
+    /// time-varying loss model. Test/bench hook.
     pub fn prime_neighbor_cache(&mut self, now: SimTime) {
-        if self.neighbor_cache {
+        if self.neighbor_cache_enabled() {
             self.ensure_neighbors(now);
         }
     }
@@ -177,10 +185,12 @@ impl WlanWorld {
     /// of stations entering or leaving that neighborhood are touched —
     /// stations two cells away never were and never become audible, so
     /// their rows are correct untouched. Without a grid the
-    /// neighborhood is everyone: an O(n) row+column rebuild.
+    /// neighborhood is everyone: an O(n) row+column rebuild. Debug
+    /// builds check the patched cache against a per-pair evaluation.
     pub fn set_position(&mut self, station: StationId, pos: Point, now: SimTime) {
         self.stations[station].pos = pos;
-        if !(self.neighbor_cache && self.neighbors.is_built()) {
+        // Only a static loss model ever builds the cache.
+        if !self.neighbors.is_built() {
             return;
         }
         // Mobility dirties exactly one row and one column; rows
@@ -216,6 +226,11 @@ impl WlanWorld {
             &stale,
         );
         self.neighbors = cache;
+        debug_assert_eq!(
+            self.neighbor_cache_incoherence(now),
+            None,
+            "neighbor cache patch for station {station} diverged from a fresh evaluation"
+        );
     }
 
     /// Computes the interference-shard partition of the current
@@ -477,87 +492,6 @@ impl WlanWorld {
         }
     }
 
-    /// Incrementally re-plans after one station moved — the handoff
-    /// boundary path (DESIGN.md §17). Only edges incident to the
-    /// mover changed, so shards not containing it survive as union
-    /// seeds; the mover's old shard is re-scanned internally (the
-    /// mover may have been its only bridge) and the mover re-couples
-    /// against its grid neighborhood. O(|old shard|² + k + K²)
-    /// instead of a fresh O(n·k) plan; debug builds assert the result
-    /// identical to a full re-plan.
-    pub fn shard_replan_station(
-        &self,
-        plan: &crate::shard::ShardPlan,
-        moved: StationId,
-        now: SimTime,
-    ) -> crate::shard::ShardPlan {
-        let n = self.stations.len();
-        assert_eq!(
-            plan.shard_of.len(),
-            n,
-            "incremental replan needs a plan for this deployment"
-        );
-        let range = plan.max_interference_range_m;
-        let mut parent: Vec<usize> = (0..n).collect();
-        let old = plan.shard_of[moved];
-        // Surviving shards: none of their internal edges involved the
-        // mover, and no new edge can appear between two stations that
-        // did not move, so each collapses to a single seed union.
-        for (s, members) in plan.shards.iter().enumerate() {
-            if s == old {
-                continue;
-            }
-            for &m in &members[1..] {
-                Self::uf_union(&mut parent, members[0], m);
-            }
-        }
-        // The mover's old shard may split without it: re-derive its
-        // internal connectivity from scratch.
-        let residue: Vec<StationId> = plan.shards[old]
-            .iter()
-            .copied()
-            .filter(|&m| m != moved)
-            .collect();
-        for (ai, &a) in residue.iter().enumerate() {
-            for &b in &residue[ai + 1..] {
-                if Self::uf_find(&mut parent, a) != Self::uf_find(&mut parent, b)
-                    && self.pair_coupled(a, b, range, now)
-                {
-                    Self::uf_union(&mut parent, a, b);
-                }
-            }
-        }
-        // The mover re-couples against every possible partner: its
-        // grid neighborhood when the geometry is indexable, everyone
-        // otherwise.
-        let candidates: Vec<StationId> = match (range.is_finite(), self.audible_reach_m(now)) {
-            (true, Some(reach)) => {
-                let cell = range.max(reach);
-                let grid = SpatialGrid::build(cell, self.stations.iter().map(|s| s.pos));
-                let mut hood = Vec::new();
-                grid.neighborhood_into(grid.cell_of(moved), &mut hood);
-                hood
-            }
-            _ => (0..n).collect(),
-        };
-        for &c in &candidates {
-            if c != moved && self.pair_coupled(moved, c, range, now) {
-                Self::uf_union(&mut parent, moved, c);
-            }
-        }
-        let replanned = self.shard_plan_finish(parent, range);
-        #[cfg(debug_assertions)]
-        {
-            let fresh = self.shard_plan(now, if range.is_finite() { Some(range) } else { None });
-            debug_assert_eq!(
-                replanned.shard_of, fresh.shard_of,
-                "incremental replan diverged from a fresh plan"
-            );
-            debug_assert_eq!(replanned.lookahead, fresh.lookahead);
-        }
-        replanned
-    }
-
     /// Re-validates a [`ShardPlan`](crate::shard::ShardPlan) against
     /// the world's *current* state: station count unchanged, no
     /// coupled pair straddling shards, and every cross-shard pair's
@@ -738,36 +672,28 @@ impl WlanWorld {
     }
 
     /// Start-time received powers and audible-candidate list for a
-    /// transmission from `id`: the cached row when the neighbor cache
-    /// is on, a fresh O(n) evaluation otherwise. Candidates are the
-    /// stations whose *raw* co-channel power meets the CS threshold —
-    /// cross-channel leakage is never stronger than raw power, so this
-    /// is a superset of anything any receiver configuration can hear,
-    /// and the per-member awake/channel/leak checks stay in the MAC.
+    /// transmission from `id`: the cached row under a static loss
+    /// model, a fresh O(n) evaluation of the same row shape under a
+    /// time-varying one. Candidates are the stations whose *raw*
+    /// co-channel power meets the CS threshold — cross-channel leakage
+    /// is never stronger than raw power, so this is a superset of
+    /// anything any receiver configuration can hear, and the
+    /// per-member awake/channel/leak checks stay in the MAC.
     pub(super) fn tx_powers(
         &mut self,
         id: StationId,
         now: SimTime,
     ) -> (RxRow, Arc<Vec<StationId>>) {
-        if self.neighbor_cache {
-            self.ensure_neighbors(now);
-            return (self.neighbors.row(id), self.neighbors.audible_list(id));
+        if self.loss_contract == LossContract::TimeVarying {
+            return NeighborCache::evaluate_row(
+                id,
+                self.cfg.cs_threshold,
+                |a, b| self.rx_power_at(a, b, now),
+                0..self.stations.len(),
+            );
         }
-        let n = self.stations.len();
-        let mut row = Vec::with_capacity(n);
-        let mut candidates = Vec::new();
-        for r in 0..n {
-            if r == id {
-                row.push(Dbm(f64::INFINITY));
-                continue;
-            }
-            let p = self.rx_power_at(id, r, now);
-            if self.audible_at(p) {
-                candidates.push(r);
-            }
-            row.push(p);
-        }
-        (RxRow::full(row), Arc::new(candidates))
+        self.ensure_neighbors(now);
+        (self.neighbors.row(id), self.neighbors.audible_list(id))
     }
 
     pub(super) fn audible_at(&self, power: Dbm) -> bool {

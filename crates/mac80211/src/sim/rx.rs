@@ -14,50 +14,6 @@ use wn_phy::units::Dbm;
 use wn_sim::trace::{Level, TraceEvent};
 use wn_sim::{Scheduler, SimDuration, SimTime};
 
-/// Direct-mapped memo for [`RateStep::success_prob`]. The dominant
-/// per-candidate cost in a dense network's `TxEnd` sweep is the `exp`
-/// plus `powf` inside the PER model, and in a static topology the
-/// same (SINR, frame length, rate threshold) triple recurs for every
-/// retransmission over the same link. Keys are the exact `f64` bit
-/// patterns of the inputs, so a hit returns bit-for-bit the same
-/// probability a direct evaluation would; a slot collision simply
-/// recomputes. Slots are allocated lazily on first use, so worlds
-/// that never reach a SINR decision pay nothing.
-#[derive(Default)]
-pub(super) struct ProbCache {
-    keys: Vec<(u64, u64, u64)>,
-    vals: Vec<f64>,
-}
-
-const PROB_CACHE_SLOTS: usize = 1 << 16;
-/// No real key carries `bits == u64::MAX` (frame lengths are a few
-/// thousand bits), so this triple marks an empty slot.
-const PROB_CACHE_EMPTY: (u64, u64, u64) = (u64::MAX, u64::MAX, u64::MAX);
-
-impl ProbCache {
-    #[inline]
-    fn success_prob(&mut self, rate: RateStep, sinr_db: f64, bits: u64) -> f64 {
-        if self.keys.is_empty() {
-            self.keys = vec![PROB_CACHE_EMPTY; PROB_CACHE_SLOTS];
-            self.vals = vec![0.0; PROB_CACHE_SLOTS];
-        }
-        let key = (sinr_db.to_bits(), bits, rate.min_snr_db.to_bits());
-        // FNV-1a over the three words.
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for w in [key.0, key.1, key.2] {
-            h = (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        let i = (h as usize) & (PROB_CACHE_SLOTS - 1);
-        if self.keys[i] == key {
-            return self.vals[i];
-        }
-        let p = rate.success_prob(sinr_db, bits);
-        self.keys[i] = key;
-        self.vals[i] = p;
-        p
-    }
-}
-
 impl WlanWorld {
     /// Puts a frame on the air. Consumes one arena reference on
     /// `frame` — it becomes the new [`TxRecord`]'s, released when the
@@ -193,9 +149,8 @@ impl WlanWorld {
         // pass per record accumulates its milliwatt row into a single
         // per-station vector, in the same ascending record order (and
         // therefore the same float rounding) as a per-receiver scalar
-        // sum. Records that carry a cached milliwatt row add it at its
-        // key slots; direct-path rows convert dB→mW per entry exactly
-        // as the scalar path always did.
+        // sum. Each record's row adds its memoized milliwatt mirror at
+        // its key slots (a partial spectral overlap converts per entry).
         let n = self.stations.len();
         let mut intf_acc = std::mem::take(&mut self.intf_scratch);
         intf_acc.clear();
@@ -266,7 +221,7 @@ impl WlanWorld {
                     )
                 };
                 let sinr = power - denom;
-                let p_ok = self.prob_cache.success_prob(rate, sinr.value(), wire_bits);
+                let p_ok = rate.success_prob(sinr.value(), wire_bits);
                 self.rng.chance(p_ok)
             };
             if success {
@@ -337,11 +292,19 @@ impl WlanWorld {
         now: SimTime,
         sched: &mut Scheduler<MacEvent>,
     ) {
+        // The station, not the frame subtype, decides the exchange: an
+        // A-MPDU flight on the air settles against its block ack, and
+        // anything else a legacy station sends (a QoS data MSDU
+        // included) is its MSDU attempt waiting for CTS or ACK.
+        let flight_on_air = self.stations[src]
+            .edca
+            .as_ref()
+            .is_some_and(|e| e.tx_ac.is_some());
         match subtype {
             Subtype::Ack | Subtype::Cts | Subtype::BlockAck | Subtype::BlockAckReq => {
                 // Control responses need no follow-up from us.
             }
-            Subtype::QosData => {
+            _ if flight_on_air => {
                 if is_group {
                     // Group-addressed aggregate: no block ack comes.
                     self.qos_resolve_flight(src, BaResult::Broadcast, now, sched);
@@ -407,7 +370,11 @@ impl WlanWorld {
         match frame.fc.subtype {
             Subtype::Ack => self.on_ack(r, now, sched),
             Subtype::Cts => self.on_cts(r, now, sched),
-            Subtype::QosData => self.on_qos_data(r, frame, rssi, now, sched),
+            // Only an EDCA station reads a QoS data frame as an A-MPDU;
+            // a legacy station takes it as a plain data MSDU below.
+            Subtype::QosData if self.stations[r].edca.is_some() => {
+                self.on_qos_data(r, frame, rssi, now, sched)
+            }
             Subtype::BlockAck => self.on_block_ack(r, frame, now, sched),
             Subtype::BlockAckReq => {
                 // This model uses implicit block-ack requests — the

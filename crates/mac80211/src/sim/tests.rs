@@ -55,6 +55,23 @@ fn single_frame_delivered_and_acked() {
     assert_eq!(w.stats(1).tx_frames, 1);
 }
 
+/// A legacy station that queues a unicast QoS data MSDU runs it as an
+/// ordinary MSDU attempt (ACK, retries) and resolves it: the exchange
+/// follows the station, not the frame subtype.
+#[test]
+fn legacy_station_resolves_a_qos_data_msdu() {
+    let mut sim = world(2, 10.0);
+    let mut f = data_frame(0, 1, 500);
+    f.fc.subtype = Subtype::QosData;
+    inject(&mut sim, 1, 0, f);
+    sim.run_until(SimTime::from_secs(1));
+    let w = sim.world();
+    assert_eq!(w.stats(0).tx_completions + w.stats(0).tx_failures, 1);
+    assert_eq!(w.pending_msdus(0), 0);
+    assert_eq!(w.stats(0).tx_completions, 1);
+    assert_eq!(w.stats(1).rx_accepted, 1);
+}
+
 #[test]
 fn broadcast_needs_no_ack() {
     let mut sim = world(3, 10.0);

@@ -6,7 +6,6 @@
 //! neighborhoods, and under mobility that hops stations across cells.
 
 use wireless_networks::check::{line_world_run, LINE_WORLD_SPACINGS};
-use wireless_networks::core::scenarios::{metro_dcf_planning_world, CITY_DCF_RANGE_M};
 use wireless_networks::mac80211::sim::{MacConfig, NullUpper, WlanWorld};
 use wireless_networks::phy::geom::Point;
 use wireless_networks::phy::modulation::PhyStandard;
@@ -163,48 +162,14 @@ fn mobility_crossing_cells_stays_coherent() {
     }
 }
 
-/// Incremental re-planning: after one station moves, patching the old
-/// plan through `shard_replan_station` must equal a from-scratch
-/// `shard_plan` — including when the mover was a cut vertex whose
-/// departure splits its old shard, and when it bridges two shards.
-#[test]
-fn incremental_replan_matches_fresh_plan() {
-    let world = metro_dcf_planning_world(2, 3, 4, 20, 9);
-    let range = Some(CITY_DCF_RANGE_M);
-    let mut plan = world.shard_plan(SimTime::ZERO, range);
-    let mut world = world;
-    let mut rng = Rng::new(0xBEEF);
-    let n = plan.shard_of.len();
-    for hop in 0..12 {
-        let station = rng.below(n as u64) as usize;
-        let pos = Point::new(rng.f64_range(-300.0, 900.0), rng.f64_range(-300.0, 700.0));
-        world.set_position(station, pos, SimTime::ZERO);
-        let patched = world.shard_replan_station(&plan, station, SimTime::ZERO);
-        let fresh = world.shard_plan(SimTime::ZERO, range);
-        assert_eq!(
-            patched.shard_of, fresh.shard_of,
-            "hop {hop}: incremental replan diverged from the fresh plan"
-        );
-        assert_eq!(
-            patched.lookahead, fresh.lookahead,
-            "hop {hop}: incremental replan picked a different lookahead"
-        );
-        assert!(
-            world
-                .shard_plan_incoherence(&patched, SimTime::ZERO)
-                .is_none(),
-            "hop {hop}: patched plan failed re-validation"
-        );
-        plan = patched;
-    }
-}
-
 /// Running traffic across several grid neighborhoods: 8 IBSS pairs on
 /// a line at 0.6/1.1/1.6/2.2× the audible reach. Interferers outside a
 /// receiver's neighborhood are below the carrier-sense floor but still
 /// above the noise floor, so the grid-backed cache must fill their
-/// SINR terms in and match the direct path byte for byte — events,
-/// trace and metrics — while storing fewer than n·(n−1) pairs.
+/// SINR terms in and match the direct path (the same log-distance
+/// model reinstalled through `set_loss_model`, evaluated per
+/// transmission) byte for byte — events, trace and metrics — while
+/// storing fewer than n·(n−1) pairs.
 #[test]
 fn multi_cell_traffic_matches_the_direct_path() {
     let mut truncated = 0;

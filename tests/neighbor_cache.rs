@@ -83,7 +83,8 @@ fn cache_stays_coherent_under_random_mobility() {
 
 /// A handful of generated fuzz scenarios (ESS roaming, mobility,
 /// fragmentation, faults — whatever the seeds draw) through the full
-/// cached and direct propagation paths: identical event counts and
+/// cached propagation path and the direct one (the same log-distance
+/// model reinstalled through `set_loss_model`): identical event counts and
 /// trace/metrics fingerprints, and a clean oracle slate. The 200-seed
 /// sweep runs in release CI as `fuzz --cache-diff`.
 #[test]

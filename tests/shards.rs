@@ -74,7 +74,6 @@ fn audible_pairs_never_straddle_shards() {
             let y = (xorshift(&mut rng) % 600_000) as f64 / 1_000.0;
             w.add_station(MacAddr::station(g), Point::new(x, y), Box::new(NullUpper));
         }
-        w.set_neighbor_cache(true);
         w.prime_neighbor_cache(SimTime::ZERO);
         for range in [Some(120.0), None] {
             let plan = w.shard_plan(SimTime::ZERO, range);
@@ -171,8 +170,7 @@ fn stale_plans_are_caught_by_the_coherence_check() {
 /// and three senders, 30 frames each.
 fn traffic_cell(seed: u64, k: usize, channel: u8) -> Simulation<WlanWorld> {
     let centre = Point::new(k as f64 * 300.0, 0.0);
-    let mut w = cluster_world(component_seed(seed, k), &[(centre, channel, 4)]);
-    w.set_neighbor_cache(true);
+    let w = cluster_world(component_seed(seed, k), &[(centre, channel, 4)]);
     let mut sim = Simulation::new(w);
     boot(&mut sim);
     for sender in 1..4usize {
